@@ -408,6 +408,28 @@ impl TdamArray {
         Ok(self.assemble(results))
     }
 
+    /// Evaluates and decodes one row alone: `(decoded_mismatches,
+    /// total_delay)`, equal to that row's fields in [`TdamArray::search`]
+    /// (rows are evaluated independently) at one row's cost instead of
+    /// the whole array's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TdamError::RowOutOfBounds`] for invalid rows, and
+    /// [`TdamError::LengthMismatch`] or [`TdamError::ValueOutOfRange`]
+    /// for malformed queries.
+    pub fn probe_row(&self, row: usize, query: &[u8]) -> Result<(usize, f64), TdamError> {
+        let chain = self.chains.get(row).ok_or(TdamError::RowOutOfBounds {
+            row,
+            rows: self.config.rows,
+        })?;
+        let delay = chain.evaluate(query)?.total_delay;
+        let decoded = self
+            .tdc
+            .decode_mismatches(&self.timing, self.config.stages, delay);
+        Ok((decoded, delay))
+    }
+
     /// Digitizes per-chain results and aggregates the array-level energy
     /// and latency — shared by the reference and compiled search paths.
     fn assemble(&self, results: Vec<ChainResult>) -> SearchOutcome {

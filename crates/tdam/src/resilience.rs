@@ -424,6 +424,10 @@ pub struct ResilientArray {
     /// (re)write, under a non-disturb-free inhibit scheme. Runtime-only,
     /// like `writes`.
     pub(crate) disturbs: Vec<u64>,
+    /// Route every probe through a full-array search (the oracle of
+    /// [`TdamArray::probe_row`]); see
+    /// [`ResilientArray::use_reference_probes`]. Runtime-only.
+    pub(crate) reference_probes: bool,
 }
 
 impl ResilientArray {
@@ -461,7 +465,20 @@ impl ResilientArray {
             masked: BTreeSet::new(),
             writes: vec![0; physical_rows],
             disturbs: vec![0; physical_rows],
+            reference_probes: false,
         })
+    }
+
+    /// Makes every known-answer and margin probe run a full-array
+    /// [`TdamArray::search`] and read one row of it, instead of
+    /// evaluating that row alone through [`TdamArray::probe_row`]. The
+    /// reports of [`check`](Self::check), [`repair`](Self::repair) and
+    /// [`scrub_margins`](Self::scrub_margins) must not change; this
+    /// switch exists so tests can hold them to that, at O(rows) times
+    /// the cost per probe.
+    #[doc(hidden)]
+    pub fn use_reference_probes(&mut self, on: bool) {
+        self.reference_probes = on;
     }
 
     /// Number of logical data rows.
@@ -704,12 +721,17 @@ impl ResilientArray {
         raw.saturating_sub(self.masked.len())
     }
 
-    /// Probes one physical row: `(corrected, raw, delay)`.
+    /// Probes one physical row: `(corrected, raw, delay)`. Transients
+    /// are sampled on the search path, never here, so a probe is a pure
+    /// function of the row's cells and the query.
     fn probe(&self, phys: usize, query: &[u8]) -> Result<(usize, usize, f64), TdamError> {
-        let out = self.array.search(query)?;
-        let r = &out.rows[phys];
-        let raw = r.decoded_mismatches;
-        Ok((self.corrected_decode(phys, raw), raw, r.chain.total_delay))
+        let (raw, delay) = if self.reference_probes {
+            let r = &self.array.search(query)?.rows[phys];
+            (r.decoded_mismatches, r.chain.total_delay)
+        } else {
+            self.array.probe_row(phys, query)?
+        };
+        Ok((self.corrected_decode(phys, raw), raw, delay))
     }
 
     /// Known-answer + margin probes of one physical row.

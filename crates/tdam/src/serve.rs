@@ -1658,13 +1658,19 @@ impl Reply {
 /// Writes one length-prefixed frame to any byte sink (a `TcpStream` in
 /// production, a `Vec<u8>` in the deterministic simulation).
 ///
+/// Header and payload go out in one `write_all`: a frame split over two
+/// writes leaves its tail waiting behind Nagle for the peer's delayed
+/// ACK (~40 ms on Linux) on every request and every reply.
+///
 /// # Errors
 ///
 /// [`ServeError::Io`] when the sink rejects the write.
 pub fn write_frame(sink: &mut impl IoWrite, payload: &[u8]) -> Result<(), ServeError> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    sink.write_all(&(payload.len() as u32).to_le_bytes())?;
-    sink.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    sink.write_all(&frame)?;
     Ok(())
 }
 
@@ -1788,13 +1794,15 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects with `io_timeout` applied to both socket directions.
+    /// Connects with `io_timeout` applied to both socket directions and
+    /// Nagle's algorithm off (each request is one small, complete frame).
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] when connecting or configuring fails.
     pub fn connect(addr: SocketAddr, io_timeout: Duration) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)?; // [real-net ok] TCP transport island
+        stream.set_nodelay(true)?; // [real-net ok] TCP transport island
         let t = Some(io_timeout).filter(|t| !t.is_zero());
         stream.set_read_timeout(t)?; // [real-net ok] TCP transport island
         stream.set_write_timeout(t)?; // [real-net ok] TCP transport island
@@ -2052,6 +2060,11 @@ fn serve_connection(
         .set_write_timeout(Some(io_timeout).filter(|t| !t.is_zero())) // [real-net ok] TCP front-end island
         .is_err()
     {
+        return;
+    }
+    // Every reply is one complete frame: send it without waiting for an ACK.
+    // [real-net ok] TCP front-end island
+    if stream.set_nodelay(true).is_err() {
         return;
     }
     let Ok(writer) = stream.try_clone() else {
@@ -2848,6 +2861,46 @@ mod tests {
             Request::decode(&bytes),
             Err(ServeError::Protocol(_))
         ));
+    }
+
+    /// A byte sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl IoWrite for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let query = Request::Query {
+            query: vec![1, 2, 3, 0],
+            k: 5,
+            deadline_us: 250_000,
+        }
+        .encode();
+        for payload in [Vec::new(), vec![7], query] {
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.writes, 1, "{}-byte payload", payload.len());
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&payload);
+            assert_eq!(sink.bytes, want);
+            assert_eq!(
+                read_frame(&mut sink.bytes.as_slice()).unwrap(),
+                Some(payload)
+            );
+        }
     }
 
     #[test]

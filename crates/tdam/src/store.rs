@@ -2051,6 +2051,7 @@ impl ResilientEngine {
             // starts with fresh counters on every replay path alike.
             writes: vec![0; config.rows],
             disturbs: vec![0; config.rows],
+            reference_probes: false,
         };
         Ok(Self {
             array,

@@ -28,6 +28,7 @@ const FORBIDDEN: &[&str] = &[
     "TcpListener::bind",
     "set_read_timeout",
     "set_write_timeout",
+    "set_nodelay",
     "fs::read",
     "fs::write",
     "fs::File",

@@ -4,6 +4,7 @@
 use fetdam::fefet::programming::{
     program_vth_with_retry, ProgramConfig, ProgramError, RetryPolicy,
 };
+use fetdam::fefet::retention::{Lifetime, RetentionParams};
 use fetdam::fefet::{Fefet, FefetParams};
 use fetdam::hdc::datasets::{Dataset, DatasetKind};
 use fetdam::hdc::encoder::IdLevelEncoder;
@@ -117,6 +118,155 @@ fn detection_and_repair_recover_column_and_chain_faults() {
     }
     let summary = arr.degradation();
     assert!(summary.remapped_rows >= 1, "{summary:?}");
+}
+
+/// SplitMix64: a seeded stream for the probe-equivalence fixtures.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Every physical row's single-row probe equals its row of a full-array
+/// search, bit for bit, on each row's stored pattern, its complement,
+/// and seeded random queries.
+fn assert_probe_rows_match_search(arr: &ResilientArray, rng: &mut u64, ctx: &str) {
+    let array = arr.array();
+    let (rows, stages) = (array.config().rows, array.config().stages);
+    let levels = array.config().encoding.levels() as u64;
+    let mut queries = Vec::new();
+    for r in 0..rows {
+        let stored = array.stored(r).expect("stored");
+        let complement = stored.iter().map(|&v| ((v as u64 + 1) % levels) as u8);
+        queries.push(complement.collect::<Vec<u8>>());
+        queries.push(stored);
+    }
+    for _ in 0..4 {
+        queries.push(
+            (0..stages)
+                .map(|_| (splitmix(rng) % levels) as u8)
+                .collect(),
+        );
+    }
+    for q in &queries {
+        let out = array.search(q).expect("search");
+        for (r, want) in out.rows.iter().enumerate() {
+            let (decoded, delay) = array.probe_row(r, q).expect("probe_row");
+            assert_eq!(decoded, want.decoded_mismatches, "{ctx}: row {r}");
+            assert_eq!(
+                delay.to_bits(),
+                want.chain.total_delay.to_bits(),
+                "{ctx}: row {r}"
+            );
+        }
+    }
+}
+
+/// The single-row health probe is a pure speed-up: on seeded arrays
+/// carrying every fault kind (stuck cells and columns, broken chains,
+/// V_TH drift, masked columns, spare remaps, aged lifetimes) it decodes
+/// exactly as a full-array search does, and detection, repair and
+/// margin scrubbing report exactly what they report when every probe
+/// runs a full search.
+#[test]
+fn single_row_probes_match_full_search_probes() {
+    let (data_rows, stages) = (12, 16);
+    let cfg = ArrayConfig::paper_default()
+        .with_stages(stages)
+        .with_rows(data_rows);
+    let res = ResilienceConfig {
+        spare_rows: 6,
+        ..ResilienceConfig::default()
+    };
+    let (mut flagged, mut remapped, mut masked, mut healed) = (0, 0, 0, 0);
+    for seed in 0..4u64 {
+        let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) + 1;
+        let mut arr = ResilientArray::new(cfg, res).expect("resilient array");
+        let phys_rows = arr.array().config().rows;
+        for row in 0..data_rows {
+            let values: Vec<u8> = (0..stages)
+                .map(|_| (splitmix(&mut rng) % 4) as u8)
+                .collect();
+            arr.store(row, &values).expect("store");
+        }
+        let mut pick = |n: usize| (splitmix(&mut rng) % n as u64) as usize;
+        arr.stuck_column(pick(stages)).expect("stuck column");
+        arr.break_stage(pick(data_rows), pick(stages))
+            .expect("broken stage");
+        for kind in [FaultKind::StuckMismatch, FaultKind::StuckMatch] {
+            arr.inject(pick(phys_rows), pick(stages), kind)
+                .expect("stuck cell");
+        }
+        for _ in 0..3 {
+            let window_fraction = 0.2 + 0.1 * pick(4) as f64;
+            arr.inject(
+                pick(data_rows),
+                pick(stages),
+                FaultKind::VthDrift { window_fraction },
+            )
+            .expect("drift");
+        }
+        // Retention loss to a ~0.7 window: delays leave their bin
+        // centers before any decode flips.
+        let life = Lifetime {
+            cycles: 1e6 * seed as f64,
+            seconds: 1e10,
+            retention: RetentionParams {
+                loss_per_decade: 0.03,
+                t0: 1.0,
+            },
+            ..Lifetime::fresh()
+        };
+        if seed % 2 == 1 {
+            arr.age(&life).expect("aging");
+        }
+
+        let ctx = format!("seed {seed}");
+        let mut oracle = arr.clone();
+        oracle.use_reference_probes(true);
+        assert_probe_rows_match_search(&arr, &mut rng, &ctx);
+
+        let detection = arr.check().expect("check");
+        assert_eq!(detection, oracle.check().expect("reference check"), "{ctx}");
+        let repair = arr.repair(&detection).expect("repair");
+        assert_eq!(
+            repair,
+            oracle.repair(&detection).expect("reference repair"),
+            "{ctx}"
+        );
+        assert_eq!(arr.health(), oracle.health(), "{ctx}");
+        assert_eq!(arr.degradation(), oracle.degradation(), "{ctx}");
+
+        // The repaired array carries masked columns and spare remaps;
+        // aging it again moves probe delays off their bin centers for
+        // the scrub to heal.
+        arr.age(&life).expect("aging");
+        oracle.age(&life).expect("aging");
+        assert_probe_rows_match_search(&arr, &mut rng, &format!("{ctx}, repaired"));
+        let scrub = arr.scrub_margins().expect("scrub");
+        assert_eq!(
+            scrub,
+            oracle.scrub_margins().expect("reference scrub"),
+            "{ctx}"
+        );
+        assert_eq!(
+            arr.check().expect("re-check"),
+            oracle.check().expect("reference re-check"),
+            "{ctx}"
+        );
+
+        flagged += usize::from(!detection.all_clear());
+        remapped += repair.remapped.len();
+        masked += arr.masked_stages().len();
+        healed += scrub.healed.len();
+    }
+    // The fixtures reach every path the probes drive.
+    assert!(
+        flagged > 0 && remapped > 0 && masked > 0 && healed > 0,
+        "flagged {flagged}, remapped {remapped}, masked {masked}, healed {healed}"
+    );
 }
 
 /// Hard faults on a deployed HDC tile corrupt the hardware Hamming

@@ -313,6 +313,42 @@ fn tcp_round_trip_serves_exact_topk_stats_and_info() {
     front.shutdown();
 }
 
+/// Sequential round trips must not wait out a delayed ACK (40 ms
+/// minimum on Linux): a frame split over two writes, or a socket left
+/// with Nagle on, puts that stall under every request or reply.
+#[test]
+fn loopback_round_trips_do_not_wait_for_delayed_acks() {
+    let cfg = ServeConfig::paper_default();
+    let levels = cfg.array.encoding.levels();
+    let corpus = seeded_corpus(4 * cfg.rows_per_shard, cfg.array.stages, levels, 7);
+    let service = Arc::new(ShardedService::new(&cfg, &corpus, None).expect("service"));
+    let mut front = FrontEnd::start(Arc::clone(&service), &cfg, "127.0.0.1:0").expect("front-end");
+    let mut client = ServeClient::connect(front.addr()).expect("connect");
+    // Warm-up: the first request compiles every shard's snapshot.
+    client.query(&corpus[0], 10, GENEROUS).expect("warm-up");
+
+    let mut round_trips: Vec<Duration> = corpus
+        .iter()
+        .step_by(8)
+        .take(32)
+        .map(|q| {
+            let start = std::time::Instant::now();
+            let got = client.query(q, 10, GENEROUS).expect("query");
+            let elapsed = start.elapsed();
+            assert!(got.complete());
+            elapsed
+        })
+        .collect();
+    front.shutdown();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?} over {} queries: a delayed-ACK stall is back",
+        round_trips.len()
+    );
+}
+
 #[test]
 fn malformed_query_over_tcp_is_an_error_reply_not_a_hang() {
     let corpus = test_corpus(20);
