@@ -1,7 +1,7 @@
-//! Criterion micro-benchmarks of the batched query path: compiled-LUT
-//! chain evaluation vs the full behavioral model, and whole-batch serving
-//! through `CompiledArray::search_batch` (which now rides the bit-sliced
-//! packed kernel; see `packed_vs_lut.rs` for the tier-by-tier comparison).
+//! Criterion micro-benchmarks of the batched query path: one search
+//! through the packed kernel vs the full behavioral model, and
+//! whole-batch serving through `CompiledSnapshot::search_batch` (see
+//! `packed.rs` for the encoding and row sweeps).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -33,15 +33,18 @@ fn seeded_array(stages: usize, rows: usize, seed: u64) -> (TdamArray, BatchQuery
     (am, batch)
 }
 
-fn bench_compiled_vs_behavioral_search(c: &mut Criterion) {
+fn bench_packed_vs_behavioral_search(c: &mut Criterion) {
     let (am, batch) = seeded_array(128, 64, 0xBE9C);
     let query = batch.get(0).to_vec();
     c.bench_function("array_search_behavioral_64x128", |b| {
         b.iter(|| TdamArray::search(black_box(&am), black_box(&query)).expect("searches"))
     });
-    let compiled = am.compile();
-    c.bench_function("array_search_compiled_64x128", |b| {
-        b.iter(|| compiled.search(black_box(&query)).expect("searches"))
+    let snap = am.compile_snapshot();
+    c.bench_function("array_search_packed_64x128", |b| {
+        b.iter(|| {
+            snap.search_packed(&am, black_box(&query))
+                .expect("searches")
+        })
     });
 }
 
@@ -55,11 +58,10 @@ fn bench_batch_serving(c: &mut Criterion) {
                 .count()
         })
     });
-    let compiled = am.compile();
-    c.bench_function("batch64_compiled_pool_64x128", |b| {
+    let snap = am.compile_snapshot();
+    c.bench_function("batch64_packed_pool_64x128", |b| {
         b.iter(|| {
-            compiled
-                .search_batch(black_box(&batch), None)
+            snap.search_batch(&am, black_box(&batch), None)
                 .expect("searches")
                 .len()
         })
@@ -68,7 +70,7 @@ fn bench_batch_serving(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_compiled_vs_behavioral_search,
+    bench_packed_vs_behavioral_search,
     bench_batch_serving
 );
 criterion_main!(benches);

@@ -2,19 +2,16 @@
 //! to the paper's pipelined cycle-time model.
 //!
 //! Stores a seeded random 128×128 2-bit array, then answers the same
-//! query batch four ways: a sequential loop of single-query
+//! query batch three ways: a sequential loop of single-query
 //! `SimilarityEngine::search` calls through the full calibrated
-//! behavioral model; the scalar compiled-LUT batch path
-//! (`CompiledArray::search_batch_lut`, bit-identical to the behavioral
-//! model); the bit-sliced packed kernel materializing full analog
-//! outcomes (`CompiledArray::search_batch`, XOR/popcount over bit-plane
-//! words with count-indexed delay reconstruction); and the packed
-//! kernel's decision-only path (`CompiledArray::decide_batch`, winners
-//! and decoded distances — the output the hardware TDC exports). Before
-//! any timing is reported, the LUT tier is verified bit-identical to
-//! the sequential loop and both packed tiers decision-identical (same
-//! winners, same decoded distances — the `tdam::packed` equivalence
-//! contract).
+//! behavioral model; the bit-sliced packed kernel materializing full
+//! analog outcomes (`CompiledSnapshot::search_batch`, XOR/popcount over
+//! bit-plane words with count-indexed delay reconstruction); and the
+//! packed kernel's decision-only path (`CompiledSnapshot::decide_batch`,
+//! winners and decoded distances — the output the hardware TDC
+//! exports). Before any timing is reported, both packed tiers are
+//! verified decision-identical to the sequential loop (same winners,
+//! same decoded distances — the `tdam::packed` equivalence contract).
 //!
 //! A second scenario sweeps the **kernel dispatch ladder** on a
 //! 1024-row array (where the cache-blocked, wide-register rungs
@@ -32,8 +29,8 @@
 //! With `--save`, archives the human-readable run to
 //! `results/ext_batch_throughput.txt` and a machine-readable sidecar to
 //! `results/BENCH_batch.json`. The quick run doubles as the CI perf
-//! smoke: it asserts the packed kernel sustains ≥ 4× the scalar-LUT
-//! throughput, and — when the SIMD rung is active — that the wide rung
+//! smoke: it asserts the decision path sustains ≥ 28× the sequential
+//! loop's throughput, and — when the SIMD rung is active — that the wide rung
 //! sustains ≥ 2× the scalar rung on the 1024-row ladder scenario (the
 //! archived full run on an AVX-512 host shows the ≥ 3× headline).
 //!
@@ -52,7 +49,8 @@ use tdam_bench::{eng, quick_mode, rline, JsonMap, Report};
 
 fn main() {
     // The quick grid keeps the full 128-stage chain so the per-query
-    // work (and therefore the packed-vs-LUT ratio) is representative.
+    // work (and therefore the packed-vs-sequential ratio) is
+    // representative.
     let (stages, rows, batch_size, repeats) = if quick_mode() {
         (128, 64, 128, 2)
     } else {
@@ -100,20 +98,8 @@ fn main() {
         sequential_results = run;
     }
 
-    let compiled = am.compile();
-    rline!(rpt, "compiled rows: {}/{}", compiled.compiled_rows(), rows);
-    rline!(rpt, "packed rows:   {}/{}", compiled.packed_rows(), rows);
-
-    // Scalar compiled-LUT tier: per-stage delay lookups, bit-identical
-    // to the behavioral model.
-    let mut lut_results = Vec::new();
-    let mut lut_best = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let run = compiled.search_batch_lut(&batch, None).expect("LUT batch");
-        lut_best = lut_best.min(t0.elapsed().as_secs_f64());
-        lut_results = run;
-    }
+    let snap = am.compile_snapshot();
+    rline!(rpt, "packed rows: {}/{}", snap.packed_rows(), rows);
 
     // Packed tier: bit-plane XOR/popcount mismatch counting with
     // count-indexed delay reconstruction into full analog outcomes.
@@ -121,7 +107,7 @@ fn main() {
     let mut packed_best = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let run = compiled.search_batch(&batch, None).expect("packed batch");
+        let run = snap.search_batch(&am, &batch, None).expect("packed batch");
         packed_best = packed_best.min(t0.elapsed().as_secs_f64());
         packed_results = run;
     }
@@ -133,27 +119,21 @@ fn main() {
     let mut decide_best = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let run = compiled.decide_batch(&batch, None).expect("decide batch");
+        let run = snap.decide_batch(&am, &batch, None).expect("decide batch");
         decide_best = decide_best.min(t0.elapsed().as_secs_f64());
         decide_results = run;
     }
 
     // Correctness gates: timings mean nothing if the answers differ.
-    // LUT must be bit-identical; packed and decision tiers must be
-    // decision-identical.
-    assert_eq!(lut_results.len(), sequential_results.len());
+    // Packed and decision tiers must be decision-identical to the
+    // sequential behavioral loop.
     assert_eq!(packed_results.len(), sequential_results.len());
     assert_eq!(decide_results.len(), sequential_results.len());
-    for (((lut, packed), decision), reference) in lut_results
+    for ((packed, decision), reference) in packed_results
         .iter()
-        .zip(&packed_results)
         .zip(&decide_results)
         .zip(&sequential_results)
     {
-        assert!(
-            lut.metrics() == *reference,
-            "LUT tier diverged from sequential"
-        );
         let packed = packed.metrics();
         assert_eq!(packed.best_row, reference.best_row, "packed winner");
         assert_eq!(packed.distances, reference.distances, "packed distances");
@@ -170,17 +150,14 @@ fn main() {
     }
     rline!(
         rpt,
-        "LUT tier bit-identical: yes; packed + decision tiers decision-identical: yes"
+        "packed + decision tiers decision-identical to sequential: yes"
     );
 
     let seq_qps = batch_size as f64 / seq_best;
-    let lut_qps = batch_size as f64 / lut_best;
     let packed_qps = batch_size as f64 / packed_best;
     let decide_qps = batch_size as f64 / decide_best;
-    let lut_speedup = lut_qps / seq_qps;
     let packed_speedup = packed_qps / seq_qps;
-    let packed_vs_lut = packed_qps / lut_qps;
-    let decide_vs_lut = decide_qps / lut_qps;
+    let decide_speedup = decide_qps / seq_qps;
     rline!(
         rpt,
         "sequential loop:    {:>10.3} ms  ({:>9.0} queries/s)",
@@ -189,22 +166,15 @@ fn main() {
     );
     rline!(
         rpt,
-        "batched + LUT:      {:>10.3} ms  ({:>9.0} queries/s)   {lut_speedup:6.2}x sequential",
-        lut_best * 1e3,
-        lut_qps
-    );
-    rline!(
-        rpt,
-        "batched + packed:   {:>10.3} ms  ({:>9.0} queries/s)   {packed_speedup:6.2}x sequential, {packed_vs_lut:.2}x LUT",
+        "batched + packed:   {:>10.3} ms  ({:>9.0} queries/s)   {packed_speedup:6.2}x sequential",
         packed_best * 1e3,
         packed_qps
     );
     rline!(
         rpt,
-        "packed decisions:   {:>10.3} ms  ({:>9.0} queries/s)   {:6.2}x sequential, {decide_vs_lut:.2}x LUT",
+        "packed decisions:   {:>10.3} ms  ({:>9.0} queries/s)   {decide_speedup:6.2}x sequential",
         decide_best * 1e3,
-        decide_qps,
-        decide_qps / seq_qps
+        decide_qps
     );
     rline!(
         rpt,
@@ -216,18 +186,22 @@ fn main() {
         // on throttled shared runners.
         rline!(
             rpt,
-            "quick perf gate: packed kernel >= 4x LUT qps: {}",
-            if decide_vs_lut >= 4.0 { "PASS" } else { "FAIL" }
+            "quick perf gate: packed decisions >= 28x sequential qps: {}",
+            if decide_speedup >= 28.0 {
+                "PASS"
+            } else {
+                "FAIL"
+            }
         );
         assert!(
-            decide_vs_lut >= 4.0,
-            "perf smoke: packed kernel only {decide_vs_lut:.2}x the scalar LUT tier"
+            decide_speedup >= 28.0,
+            "perf smoke: packed decisions only {decide_speedup:.2}x the sequential loop"
         );
     } else {
         rline!(
             rpt,
-            "speedup: packed kernel {decide_vs_lut:.2}x over the compiled-LUT path   (target >= 10x: {})",
-            if decide_vs_lut >= 10.0 { "PASS" } else { "MISS" }
+            "speedup: packed decisions {decide_speedup:.2}x over the sequential loop   (target >= 69x: {})",
+            if decide_speedup >= 69.0 { "PASS" } else { "MISS" }
         );
     }
 
@@ -258,7 +232,7 @@ fn main() {
             .collect();
         ladder_queries.push(&q).expect("push");
     }
-    let mut ladder = ladder_am.compile();
+    let mut ladder = ladder_am.compile_snapshot();
     assert_eq!(ladder.packed_rows(), ladder_rows, "ladder rows must pack");
     rpt.header(&format!(
         "kernel dispatch ladder: {stages}x{ladder_rows} {bits}-bit array, \
@@ -282,7 +256,7 @@ fn main() {
         for _ in 0..repeats {
             let t0 = Instant::now();
             let run = ladder
-                .decide_batch(&ladder_queries, None)
+                .decide_batch(&ladder_am, &ladder_queries, None)
                 .expect("ladder decide");
             best = best.min(t0.elapsed().as_secs_f64());
             decisions = run;
@@ -454,17 +428,14 @@ fn main() {
             "qps",
             JsonMap::new()
                 .num("sequential", seq_qps)
-                .num("lut", lut_qps)
                 .num("packed", packed_qps)
                 .num("packed_decisions", decide_qps),
         )
         .obj(
             "speedup",
             JsonMap::new()
-                .num("lut_vs_sequential", lut_speedup)
                 .num("packed_vs_sequential", packed_speedup)
-                .num("packed_vs_lut", packed_vs_lut)
-                .num("decisions_vs_lut", decide_vs_lut),
+                .num("decisions_vs_sequential", decide_speedup),
         )
         .obj("kernel_ladder", {
             let mut qps = JsonMap::new();

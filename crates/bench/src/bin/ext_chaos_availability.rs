@@ -3,8 +3,8 @@
 //!
 //! Sweeps persistent cell-fault rate × injected worker-panic rate over the
 //! paper's 32-stage 2-bit array wrapped in [`tdam::runtime::ResilientEngine`]
-//! (compiled-LUT serving, health probes with a circuit breaker, repair and
-//! backend demotion along the CompiledLut → Behavioral → DegradedMasked
+//! (packed-kernel serving, health probes with a circuit breaker, repair and
+//! backend demotion along the Packed → Behavioral → DegradedMasked
 //! fallback chain), and reports how much of the query traffic stays
 //! answered and whether any wrong answer escaped without a degradation
 //! flag. The headline: at the acceptance point — 1% cumulative cell faults

@@ -15,7 +15,7 @@
 //! | `ablation_vc_vs_vr` | Design ablation: variable-capacitance vs variable-resistance stages |
 //! | `ablation_two_step` | Design ablation: 2-step scheme vs naive single-pass chain |
 //! | `ext_fault_campaign` | Extension: fault-rate sweeps with/without detection + spare-row repair |
-//! | `ext_batch_throughput` | Extension: batched compiled-LUT serving vs sequential search, plus the pipelined cycle model |
+//! | `ext_batch_throughput` | Extension: batched packed-kernel serving vs sequential search, plus the pipelined cycle model |
 //! | `ext_chaos_availability` | Extension: serving-runtime availability under injected cell faults + worker panics |
 //! | `ext_recovery` | Extension: crash-injection campaign over the checkpoint/journal store + warm-start restore |
 //! | `ext_serve_scale` | Extension: sharded TCP serving front-end — load sweep, guaranteed shedding, warm-standby failover |

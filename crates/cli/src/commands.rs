@@ -312,9 +312,9 @@ fn bench_batch(args: &Args) -> Result<String, CliError> {
     }
     let t_seq = t0.elapsed().as_secs_f64();
 
-    let compiled = am.compile();
+    let snap = am.compile_snapshot();
     let t1 = std::time::Instant::now();
-    let outcomes = compiled.search_batch(&batch, threads)?;
+    let outcomes = snap.search_batch(&am, &batch, threads)?;
     let t_batch = t1.elapsed().as_secs_f64();
 
     // The packed batch tier's contract (tests/packed_equiv.rs): decisions,
@@ -340,12 +340,12 @@ fn bench_batch(args: &Args) -> Result<String, CliError> {
     let qps_batch = batch_size as f64 / t_batch;
     Ok(format!(
         "batched query serving: {rows}x{stages} array, {batch_size} queries, threads {}\n\
-         compiled rows: {}/{rows}\n\
+         packed rows: {}/{rows}\n\
          sequential: {:.3} ms  ({:.0} queries/s)\n\
          batched:    {:.3} ms  ({:.0} queries/s)\n\
          speedup: {:.2}x   results identical: yes\n",
         threads.map_or("auto".to_owned(), |t| t.to_string()),
-        compiled.compiled_rows(),
+        snap.packed_rows(),
         t_seq * 1e3,
         qps_seq,
         t_batch * 1e3,
@@ -1373,7 +1373,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("results identical: yes"), "{out}");
-        assert!(out.contains("compiled rows: 4/4"), "{out}");
+        assert!(out.contains("packed rows: 4/4"), "{out}");
         assert!(matches!(
             run(&["bench-batch", "--batch", "0"]),
             Err(CliError::Usage(_))

@@ -109,7 +109,7 @@ pub struct TdamArray {
     tdc: CounterTdc,
     chains: Vec<DelayChain>,
     /// Bumped on every mutation of stored contents (store, program, age),
-    /// so compiled delay tables can detect that they have gone stale.
+    /// so compiled snapshots can detect that they have gone stale.
     generation: u64,
 }
 
@@ -400,12 +400,12 @@ impl TdamArray {
     /// Returns [`TdamError::LengthMismatch`] or
     /// [`TdamError::ValueOutOfRange`] for malformed queries.
     pub fn search(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        let results = self
-            .chains
-            .iter()
-            .map(|chain| chain.evaluate(query))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.assemble(results))
+        let readout = self.readout();
+        let mut acc = OutcomeAccumulator::new(self.chains.len());
+        for chain in &self.chains {
+            acc.push_chain(&readout, chain.evaluate(query)?);
+        }
+        Ok(acc.finish(&readout))
     }
 
     /// Evaluates and decodes one row alone: `(decoded_mismatches,
@@ -430,55 +430,49 @@ impl TdamArray {
         Ok((decoded, delay))
     }
 
-    /// Digitizes per-chain results and aggregates the array-level energy
-    /// and latency — shared by the reference and compiled search paths.
-    fn assemble(&self, results: Vec<ChainResult>) -> SearchOutcome {
-        let mut acc = OutcomeAccumulator::new(results.len());
-        for chain_result in results {
-            acc.push_chain(self, chain_result);
-        }
-        acc.finish(self)
-    }
-
-    /// Compiles every nominal row into flat per-cell delay tables (see
-    /// [`crate::chain::CompiledChain`]) for the batched query path. Rows
-    /// holding variation-perturbed cells keep the full model and fall back
-    /// to [`DelayChain::evaluate`] per query.
-    ///
-    /// The compiled view borrows the array: it is built once per batch
-    /// (or held across batches) and shared read-only by worker threads.
-    /// For a view that outlives the borrow — and therefore must detect
-    /// reprogramming — see [`TdamArray::compile_snapshot`].
-    pub fn compile(&self) -> CompiledArray<'_> {
-        CompiledArray {
-            array: self,
-            compiled: self.chains.iter().map(DelayChain::compile).collect(),
-            packed: PackedArray::build(self, &std::collections::BTreeSet::new()),
-            generation: self.generation,
-        }
-    }
-
-    /// Compiles into an **owned** snapshot that can be held across
-    /// mutations of the source array. Every search through the snapshot
+    /// Compiles into an **owned** snapshot served by the bit-sliced packed
+    /// kernel ([`crate::packed`]), which can be held across mutations of
+    /// the source array. Every checked search through the snapshot
     /// revalidates the source's [generation](TdamArray::generation); once
     /// the array has been reprogrammed the snapshot refuses to serve
     /// ([`TdamError::StaleCompile`]) instead of returning wrong bits.
     pub fn compile_snapshot(&self) -> CompiledSnapshot {
+        let packed = PackedArray::build(self, &std::collections::BTreeSet::new());
+        let fallback = (0..self.chains.len())
+            .filter(|&row| !packed.is_packed(row))
+            .map(|row| (row, self.chains[row].clone()))
+            .collect();
         CompiledSnapshot {
-            array: self.clone(),
-            compiled: self.chains.iter().map(DelayChain::compile).collect(),
-            packed: PackedArray::build(self, &std::collections::BTreeSet::new()),
+            readout: self.readout(),
+            fallback,
+            packed,
             generation: self.generation,
+        }
+    }
+
+    fn readout(&self) -> Readout {
+        Readout {
+            config: self.config,
+            timing: self.timing,
+            tdc: self.tdc,
         }
     }
 }
 
-/// Incremental row digitization and array-level aggregation: the loop
-/// body of [`TdamArray::assemble`], factored out so the packed serving
-/// path ([`crate::packed`]) can push already-digitized rows without
-/// materializing an intermediate `Vec<ChainResult>` per query — with the
-/// same accumulation order (row order), so the energy arithmetic stays
-/// bitwise identical between the paths whenever the per-row figures are.
+/// The array-level calibration a search digitizes rows and aggregates
+/// energy and latency with: geometry, timing, and the TDC.
+#[derive(Debug, Clone, Copy)]
+struct Readout {
+    config: ArrayConfig,
+    timing: StageTiming,
+    tdc: CounterTdc,
+}
+
+/// Incremental row digitization and array-level aggregation, shared by
+/// [`TdamArray::search`] and the packed serving path ([`crate::packed`]),
+/// which pushes already-digitized rows — with the same accumulation
+/// order (row order), so the energy arithmetic stays bitwise identical
+/// between the paths whenever the per-row figures are.
 struct OutcomeAccumulator {
     rows: Vec<RowResult>,
     energy: EnergyBreakdown,
@@ -496,15 +490,15 @@ impl OutcomeAccumulator {
         }
     }
 
-    /// Digitizes one behavioral/LUT chain result and accumulates it.
-    fn push_chain(&mut self, array: &TdamArray, chain_result: ChainResult) {
-        let count = array.tdc.convert(chain_result.total_delay);
-        let decoded = array.tdc.decode_mismatches(
-            &array.timing,
-            array.config.stages,
+    /// Digitizes one behavioral chain result and accumulates it.
+    fn push_chain(&mut self, readout: &Readout, chain_result: ChainResult) {
+        let count = readout.tdc.convert(chain_result.total_delay);
+        let decoded = readout.tdc.decode_mismatches(
+            &readout.timing,
+            readout.config.stages,
             chain_result.total_delay,
         );
-        let tdc_energy = array.tdc.conversion_energy(chain_result.total_delay);
+        let tdc_energy = readout.tdc.conversion_energy(chain_result.total_delay);
         self.push_row(
             RowResult {
                 chain: chain_result,
@@ -528,7 +522,7 @@ impl OutcomeAccumulator {
         self.rows.push(row);
     }
 
-    fn finish(self, array: &TdamArray) -> SearchOutcome {
+    fn finish(self, readout: &Readout) -> SearchOutcome {
         let Self {
             rows,
             mut energy,
@@ -536,14 +530,14 @@ impl OutcomeAccumulator {
             worst_fall,
         } = self;
         // Shared search-line drivers, once per column pair.
-        energy.search_lines = array.config.stages as f64 * array.timing.e_sl;
+        energy.search_lines = readout.config.stages as f64 * readout.timing.e_sl;
         // Full search cycle: precharge, search-line settle (pulse launch
         // window), both propagation steps, and the final TDC latch.
-        let latency = array.config.tech.t_precharge
-            + array.config.tech.t_launch
+        let latency = readout.config.tech.t_precharge
+            + readout.config.tech.t_launch
             + worst_rise
             + worst_fall
-            + array.tdc.resolution;
+            + readout.tdc.resolution;
         SearchOutcome {
             rows,
             energy,
@@ -552,49 +546,27 @@ impl OutcomeAccumulator {
     }
 }
 
-/// One compiled search: table rows walk the LUT, perturbed rows fall back
-/// to the full model. Shared by [`CompiledArray`] and [`CompiledSnapshot`].
-fn compiled_search(
-    array: &TdamArray,
-    compiled: &[Option<crate::chain::CompiledChain>],
-    query: &[u8],
-) -> Result<SearchOutcome, TdamError> {
-    // Validate once up front; the per-row table walks then skip the
-    // redundant length/range checks (the dominant overhead for small
-    // compiled rows).
-    validate_query(array, query)?;
-    let results = compiled
-        .iter()
-        .zip(&array.chains)
-        .map(|(compiled, chain)| match compiled {
-            Some(c) => Ok(c.evaluate_prevalidated(query)),
-            None => chain.evaluate(query),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(array.assemble(results))
-}
-
 /// Shape- and range-checks one query against the array geometry.
-fn validate_query(array: &TdamArray, query: &[u8]) -> Result<(), TdamError> {
-    if query.len() != array.config.stages {
+fn validate_query(readout: &Readout, query: &[u8]) -> Result<(), TdamError> {
+    if query.len() != readout.config.stages {
         return Err(TdamError::LengthMismatch {
             got: query.len(),
-            expected: array.config.stages,
+            expected: readout.config.stages,
         });
     }
-    array.config.encoding.validate(query)
+    readout.config.encoding.validate(query)
 }
 
 /// Shape- and range-checks a whole batch in one pass over its contiguous
 /// element storage, so the per-query worker loop can skip validation.
-fn validate_batch(array: &TdamArray, batch: &BatchQuery) -> Result<(), TdamError> {
-    if batch.width() != array.config.stages {
+fn validate_batch(readout: &Readout, batch: &BatchQuery) -> Result<(), TdamError> {
+    if batch.width() != readout.config.stages {
         return Err(TdamError::LengthMismatch {
             got: batch.width(),
-            expected: array.config.stages,
+            expected: readout.config.stages,
         });
     }
-    array.config.encoding.validate(batch.elements())
+    readout.config.encoding.validate(batch.elements())
 }
 
 /// Queries per worker tile in the batch drivers. Matches the packed
@@ -605,324 +577,53 @@ fn validate_batch(array: &TdamArray, batch: &BatchQuery) -> Result<(), TdamError
 /// count — which is what keeps batch results thread-count invariant.
 const QUERY_TILE: usize = 8;
 
-/// Finishes one query of a counted tile into a full [`SearchOutcome`]:
-/// packed rows read their `(even, odd)` counts from slot `t` and go
-/// through count-indexed digitization, the rest fall back to the full
-/// behavioral model and the shared [`OutcomeAccumulator`] arithmetic.
-fn finish_search_from_counts(
-    array: &TdamArray,
-    packed: &PackedArray,
-    scratch: &PackedScratch,
-    t: usize,
-    query: &[u8],
-) -> Result<SearchOutcome, TdamError> {
-    let mut acc = OutcomeAccumulator::new(array.chains.len());
-    for (row, chain) in array.chains.iter().enumerate() {
-        if packed.is_packed(row) {
-            let (even, odd) = packed.counts(scratch, t, row);
-            let (row_result, tdc_energy) = packed.digitize(even, odd);
-            acc.push_row(row_result, tdc_energy);
-        } else {
-            acc.push_chain(array, chain.evaluate(query)?);
-        }
-    }
-    Ok(acc.finish(array))
-}
-
-/// Finishes one query of a counted tile decision-only: decoded per-row
-/// distances and the winner, with no per-row analog reconstruction —
-/// the output the hardware TDC actually exports, at a fraction of the
-/// materialization cost of a full [`SearchOutcome`]. Decisions are
-/// exactly identical to the full paths' ([`SearchOutcome::best_row`]/
-/// [`SearchOutcome::decoded`]); non-packed rows fall back to the
-/// behavioral model's decode.
-fn finish_decide_from_counts(
-    array: &TdamArray,
-    packed: &PackedArray,
-    scratch: &PackedScratch,
-    t: usize,
-    query: &[u8],
-) -> Result<crate::packed::PackedDecision, TdamError> {
-    let mut distances = Vec::with_capacity(array.chains.len());
-    let mut best: Option<(usize, usize)> = None;
-    for (row, chain) in array.chains.iter().enumerate() {
-        let decoded = if packed.is_packed(row) {
-            let (even, odd) = packed.counts(scratch, t, row);
-            packed.decoded(even, odd)
-        } else {
-            let r = chain.evaluate(query)?;
-            array
-                .tdc
-                .decode_mismatches(&array.timing, array.config.stages, r.total_delay)
-        };
-        // Strictly-less keeps the first minimal row, matching
-        // `SearchOutcome::best_row`'s tie-break.
-        if best.is_none_or(|(_, d)| decoded < d) {
-            best = Some((row, decoded));
-        }
-        distances.push(decoded);
-    }
-    Ok(crate::packed::PackedDecision {
-        best_row: best.map(|(row, _)| row),
-        distances,
-    })
-}
-
-/// One packed-kernel search over a pre-validated query: a tile of one
-/// through the ladder-dispatched block kernel ([`crate::packed`]).
-/// Shared by [`CompiledArray`] and [`CompiledSnapshot`]; the caller owns
-/// validation, staleness checks, and the reusable scratch.
-fn packed_search_prevalidated(
-    array: &TdamArray,
-    packed: &PackedArray,
-    query: &[u8],
-    scratch: &mut PackedScratch,
-) -> Result<SearchOutcome, TdamError> {
-    packed.expand_query(query, scratch);
-    packed.mismatch_counts(scratch);
-    finish_search_from_counts(array, packed, scratch, 0, query)
-}
-
-/// One worker item of the tiled batch-search driver: expands queries
-/// `[tile·QUERY_TILE, …)` of the batch into the tile scratch, runs the
-/// block kernel once for the whole tile, and finishes each query in
-/// batch order (so the first error a tile reports is the first in batch
-/// order, preserving the drivers' error contract through the flatten).
-fn packed_search_tile(
-    array: &TdamArray,
-    packed: &PackedArray,
-    batch: &crate::engine::BatchQuery,
-    tile: usize,
-    scratch: &mut PackedScratch,
-) -> Result<Vec<SearchOutcome>, TdamError> {
-    let start = tile * QUERY_TILE;
-    let end = (start + QUERY_TILE).min(batch.len());
-    packed.expand_tile((start..end).map(|i| batch.get(i)), scratch);
-    packed.mismatch_counts(scratch);
-    (start..end)
-        .enumerate()
-        .map(|(t, i)| finish_search_from_counts(array, packed, scratch, t, batch.get(i)))
-        .collect()
-}
-
-/// As [`packed_search_tile`], decision-only.
-fn packed_decide_tile(
-    array: &TdamArray,
-    packed: &PackedArray,
-    batch: &crate::engine::BatchQuery,
-    tile: usize,
-    scratch: &mut PackedScratch,
-) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-    let start = tile * QUERY_TILE;
-    let end = (start + QUERY_TILE).min(batch.len());
-    packed.expand_tile((start..end).map(|i| batch.get(i)), scratch);
-    packed.mismatch_counts(scratch);
-    (start..end)
-        .enumerate()
-        .map(|(t, i)| finish_decide_from_counts(array, packed, scratch, t, batch.get(i)))
-        .collect()
-}
-
-/// A read-only compiled view of a [`TdamArray`]: every nominal row's
-/// delay function collapsed to a flat lookup table, shareable across
-/// worker threads for batched serving.
+/// The compiled form of a [`TdamArray`]: the bit-sliced packed view
+/// ([`crate::packed`]) plus the array's readout calibration, stamped
+/// with the source's [generation](TdamArray::generation) at compile
+/// time.
 ///
-/// Produced by [`TdamArray::compile`]. Searches through this view return
-/// results **bit-identical** to [`TdamArray::search`].
-#[derive(Debug, Clone)]
-pub struct CompiledArray<'a> {
-    array: &'a TdamArray,
-    compiled: Vec<Option<crate::chain::CompiledChain>>,
-    packed: PackedArray,
-    generation: u64,
-}
-
-impl CompiledArray<'_> {
-    /// How many rows compiled to lookup tables (the rest fall back to the
-    /// full variation-aware model).
-    pub fn compiled_rows(&self) -> usize {
-        self.compiled.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// How many rows the bit-sliced packed kernel serves (the rest fall
-    /// back to the full variation-aware model). Equals
-    /// [`CompiledArray::compiled_rows`]: packing and LUT compilation
-    /// refuse exactly the same (non-nominal or degenerate-timing) rows.
-    pub fn packed_rows(&self) -> usize {
-        self.packed.packed_rows()
-    }
-
-    /// The bit-sliced packed view backing [`CompiledArray::search_packed`]
-    /// and the batched path.
-    pub fn packed(&self) -> &PackedArray {
-        &self.packed
-    }
-
-    /// Whether every row is served from a lookup table.
-    pub fn fully_compiled(&self) -> bool {
-        self.compiled.iter().all(Option::is_some)
-    }
-
-    /// The array [generation](TdamArray::generation) these tables were
-    /// compiled at.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Searches one query through the compiled tables.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdamArray::search`], plus [`TdamError::StaleCompile`] if the
-    /// array's generation no longer matches the one the tables were built
-    /// at. (The shared borrow already prevents reprogramming while this
-    /// view is alive, so the check documents the contract shared with the
-    /// owned [`CompiledSnapshot`] rather than catching live mutation.)
-    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        compiled_search(self.array, &self.compiled, query)
-    }
-
-    /// Searches one query through the bit-sliced packed kernel
-    /// ([`crate::packed`]): mismatch counts, decoded distances, and the
-    /// winner are exactly identical to [`TdamArray::search`]; the analog
-    /// delay figures are reconstructed count-indexed and agree within the
-    /// documented ulp bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledArray::search`].
-    pub fn search_packed(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        validate_query(self.array, query)?;
-        let mut scratch = self.packed.scratch();
-        packed_search_prevalidated(self.array, &self.packed, query, &mut scratch)
-    }
-
-    /// Answers a whole batch through the packed kernel, fanning queries
-    /// out across `threads` worker threads (`None` = all cores; see
-    /// [`crate::parallel`]). Validation is hoisted to one pass over the
-    /// whole batch and each worker reuses one query-plane scratch, so the
-    /// hot loop performs no per-query heap allocation. Results are in
-    /// batch order and bit-identical for every thread count; versus the
-    /// behavioral model they carry the packed equivalence contract
-    /// ([`crate::packed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in batch order.
-    pub fn search_batch(
-        &self,
-        batch: &crate::engine::BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<SearchOutcome>, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        validate_batch(self.array, batch)?;
-        let tiles = crate::parallel::run_chunked_scratch(
-            batch.len().div_ceil(QUERY_TILE),
-            threads,
-            || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_search_tile(self.array, &self.packed, batch, tile, scratch),
-        )?;
-        Ok(tiles.into_iter().flatten().collect())
-    }
-
-    /// Answers a whole batch through the scalar per-cell delay LUTs —
-    /// the pre-packed serving path, kept as the bit-identical-to-
-    /// behavioral comparison tier for benchmarks and equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledArray::search_batch`].
-    pub fn search_batch_lut(
-        &self,
-        batch: &crate::engine::BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<SearchOutcome>, TdamError> {
-        crate::parallel::run_chunked(batch.len(), threads, |i| self.search(batch.get(i)))
-    }
-
-    /// Answers a whole batch decision-only: per-query winner and decoded
-    /// distances ([`crate::packed::PackedDecision`]), skipping the
-    /// per-row analog reconstruction entirely. This is the kernel at
-    /// full speed — the output is what the hardware TDC exports — and
-    /// its fields are exactly identical to [`SearchOutcome::best_row`] /
-    /// [`SearchOutcome::decoded`] from [`CompiledArray::search_batch`]
-    /// on the same batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledArray::search_batch`].
-    pub fn decide_batch(
-        &self,
-        batch: &crate::engine::BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        validate_batch(self.array, batch)?;
-        let tiles = crate::parallel::run_chunked_scratch(
-            batch.len().div_ceil(QUERY_TILE),
-            threads,
-            || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_decide_tile(self.array, &self.packed, batch, tile, scratch),
-        )?;
-        Ok(tiles.into_iter().flatten().collect())
-    }
-
-    /// Forces a dispatch-ladder rung for this view's packed kernel
-    /// ([`crate::packed::PackedKernel`]); tests and benchmarks use this
-    /// to pin a rung, production code leaves detection alone. Returns
-    /// `false` (keeping the current rung) when the requested rung is not
-    /// available in this build/CPU.
-    pub fn force_kernel(&mut self, kernel: crate::packed::PackedKernel) -> bool {
-        self.packed.set_kernel(kernel)
-    }
-
-    /// The dispatch-ladder rung this view's packed kernel executes.
-    pub fn kernel(&self) -> crate::packed::PackedKernel {
-        self.packed.kernel()
-    }
-}
-
-/// An **owned** compiled view of a [`TdamArray`]: the delay tables plus a
-/// clone of the source array, stamped with the source's
-/// [generation](TdamArray::generation) at compile time.
-///
-/// Unlike [`CompiledArray`], a snapshot outlives the borrow of its source,
-/// so the source can be reprogrammed while the snapshot is held — exactly
-/// the situation where serving from the old tables would silently return
+/// Nominal rows are served by the packed kernel; rows holding
+/// variation-perturbed cells fall back to the behavioral model inside
+/// the same paths, from a copy of their chain — the only cells a
+/// snapshot keeps. A snapshot outlives the borrow of its source, so the
+/// source can be reprogrammed while the snapshot is held — exactly the
+/// situation where serving from the old planes would silently return
 /// wrong bits. Every checked search therefore revalidates the source's
 /// generation and fails with [`TdamError::StaleCompile`] once they
 /// diverge; the serving runtime ([`crate::runtime`]) catches that error
 /// and recompiles.
 ///
-/// Produced by [`TdamArray::compile_snapshot`]. Searches return results
-/// **bit-identical** to [`TdamArray::search`] on the array state at
-/// compile time.
+/// Produced by [`TdamArray::compile_snapshot`]. Against
+/// [`TdamArray::search`] on the array state at compile time, searches
+/// carry the packed equivalence contract: counts, decoded distances,
+/// winners and energies exact, delays within the documented ulp bound.
+///
+/// # Examples
+///
+/// ```
+/// use tdam::array::TdamArray;
+/// use tdam::config::ArrayConfig;
+/// use tdam::engine::{BatchQuery, SimilarityEngine};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cfg = ArrayConfig::paper_default().with_stages(4).with_rows(2);
+/// let mut am = TdamArray::new(cfg)?;
+/// am.store(0, &[3, 2, 1, 0])?;
+/// am.store(1, &[0, 0, 1, 1])?;
+/// let snap = am.compile_snapshot();
+/// let batch = BatchQuery::from_rows(&[vec![0, 0, 1, 2], vec![3, 2, 1, 0]])?;
+/// let decisions = snap.decide_batch(&am, &batch, Some(1))?;
+/// assert_eq!(decisions[0].best_row, Some(1));
+/// assert_eq!(decisions[1].distances, vec![0, 3]);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CompiledSnapshot {
-    array: TdamArray,
-    compiled: Vec<Option<crate::chain::CompiledChain>>,
+    readout: Readout,
+    /// `(row, chain)` for exactly the rows `packed` does not serve, in
+    /// row order: the chains the behavioral fallback evaluates.
+    fallback: Vec<(usize, DelayChain)>,
     packed: PackedArray,
     generation: u64,
 }
@@ -940,56 +641,27 @@ impl CompiledSnapshot {
         source.generation == self.generation
     }
 
-    /// How many rows compiled to lookup tables (the rest fall back to the
-    /// full variation-aware model).
-    pub fn compiled_rows(&self) -> usize {
-        self.compiled.iter().filter(|c| c.is_some()).count()
+    /// [`TdamError::StaleCompile`] unless the snapshot is fresh.
+    fn check_fresh(&self, source: &TdamArray) -> Result<(), TdamError> {
+        if self.is_fresh(source) {
+            Ok(())
+        } else {
+            Err(TdamError::StaleCompile {
+                compiled: self.generation,
+                current: source.generation,
+            })
+        }
     }
 
-    /// Whether every row is served from a lookup table.
-    pub fn fully_compiled(&self) -> bool {
-        self.compiled.iter().all(Option::is_some)
-    }
-
-    /// How many rows the bit-sliced packed kernel serves (equals
-    /// [`CompiledSnapshot::compiled_rows`]; see
-    /// [`CompiledArray::packed_rows`]).
+    /// How many rows the bit-sliced packed kernel serves (the rest fall
+    /// back to the full variation-aware model).
     pub fn packed_rows(&self) -> usize {
         self.packed.packed_rows()
     }
 
-    /// The bit-sliced packed view backing the packed serving paths.
+    /// The bit-sliced packed view backing the serving paths.
     pub fn packed(&self) -> &PackedArray {
         &self.packed
-    }
-
-    /// Searches one query, first verifying the snapshot still matches
-    /// `source`.
-    ///
-    /// # Errors
-    ///
-    /// [`TdamError::StaleCompile`] if `source` was mutated after this
-    /// snapshot was compiled; otherwise as [`TdamArray::search`].
-    pub fn search(&self, source: &TdamArray, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        self.search_unchecked(query)
-    }
-
-    /// Searches one query against the snapshot's own (internally
-    /// consistent) state, without consulting the source array. Use when
-    /// staleness has already been checked for the whole batch, or when
-    /// serving deliberately from the frozen snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdamArray::search`].
-    pub fn search_unchecked(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        compiled_search(&self.array, &self.compiled, query)
     }
 
     /// Searches one query through the bit-sliced packed kernel, first
@@ -1000,39 +672,41 @@ impl CompiledSnapshot {
     ///
     /// # Errors
     ///
-    /// As [`CompiledSnapshot::search`].
+    /// [`TdamError::StaleCompile`] if `source` was mutated after this
+    /// snapshot was compiled; otherwise as [`TdamArray::search`].
     pub fn search_packed(
         &self,
         source: &TdamArray,
         query: &[u8],
     ) -> Result<SearchOutcome, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
+        self.check_fresh(source)?;
         self.search_packed_unchecked(query)
     }
 
-    /// Packed-kernel search against the snapshot's own frozen state,
-    /// without consulting the source array (see
-    /// [`CompiledSnapshot::search_unchecked`]).
+    /// Packed-kernel search against the snapshot's own (internally
+    /// consistent) frozen state, without consulting the source array: a
+    /// tile of one through the ladder-dispatched block kernel. Use when
+    /// staleness has already been checked for the whole batch, or when
+    /// serving deliberately from the frozen snapshot.
     ///
     /// # Errors
     ///
     /// As [`TdamArray::search`].
     pub fn search_packed_unchecked(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        validate_query(&self.array, query)?;
+        validate_query(&self.readout, query)?;
         let mut scratch = self.packed.scratch();
-        packed_search_prevalidated(&self.array, &self.packed, query, &mut scratch)
+        self.packed.expand_query(query, &mut scratch);
+        self.packed.mismatch_counts(&mut scratch);
+        self.finish_search(&scratch, 0, query)
     }
 
     /// Answers a whole batch through the packed kernel, verifying
     /// freshness against `source` once up front, then fanning queries out
-    /// across `threads` workers with one reused query-plane scratch per
+    /// across `threads` workers (`None` = all cores; see
+    /// [`crate::parallel`]) with one reused query-plane scratch per
     /// worker and batch-level validation (no per-query allocation or
-    /// re-validation in the hot loop).
+    /// re-validation in the hot loop). Results are in batch order and
+    /// bit-identical for every thread count.
     ///
     /// # Errors
     ///
@@ -1041,52 +715,27 @@ impl CompiledSnapshot {
     pub fn search_batch(
         &self,
         source: &TdamArray,
-        batch: &crate::engine::BatchQuery,
+        batch: &BatchQuery,
         threads: Option<usize>,
     ) -> Result<Vec<SearchOutcome>, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        validate_batch(&self.array, batch)?;
+        self.check_fresh(source)?;
+        validate_batch(&self.readout, batch)?;
         let tiles = crate::parallel::run_chunked_scratch(
             batch.len().div_ceil(QUERY_TILE),
             threads,
             || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_search_tile(&self.array, &self.packed, batch, tile, scratch),
+            |scratch, tile| self.run_tile(batch, tile, scratch, Self::finish_search),
         )?;
         Ok(tiles.into_iter().flatten().collect())
     }
 
-    /// Answers a whole batch through the scalar per-cell delay LUTs (the
-    /// bit-identical-to-behavioral comparison tier; see
-    /// [`CompiledArray::search_batch_lut`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSnapshot::search_batch`].
-    pub fn search_batch_lut(
-        &self,
-        source: &TdamArray,
-        batch: &crate::engine::BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<SearchOutcome>, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        crate::parallel::run_chunked(batch.len(), threads, |i| {
-            self.search_unchecked(batch.get(i))
-        })
-    }
-
-    /// Answers a whole batch decision-only against the snapshot's frozen
-    /// state after a freshness check (see
-    /// [`CompiledArray::decide_batch`]).
+    /// Answers a whole batch decision-only: per-query winner and decoded
+    /// distances ([`crate::packed::PackedDecision`]), skipping the
+    /// per-row analog reconstruction entirely. This is the kernel at
+    /// full speed — the output is what the hardware TDC exports — and
+    /// its fields are exactly identical to [`SearchOutcome::best_row`] /
+    /// [`SearchOutcome::decoded`] from [`CompiledSnapshot::search_batch`]
+    /// on the same batch.
     ///
     /// # Errors
     ///
@@ -1094,34 +743,118 @@ impl CompiledSnapshot {
     pub fn decide_batch(
         &self,
         source: &TdamArray,
-        batch: &crate::engine::BatchQuery,
+        batch: &BatchQuery,
         threads: Option<usize>,
     ) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        validate_batch(&self.array, batch)?;
+        self.check_fresh(source)?;
+        validate_batch(&self.readout, batch)?;
         let tiles = crate::parallel::run_chunked_scratch(
             batch.len().div_ceil(QUERY_TILE),
             threads,
             || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_decide_tile(&self.array, &self.packed, batch, tile, scratch),
+            |scratch, tile| self.run_tile(batch, tile, scratch, Self::finish_decide),
         )?;
         Ok(tiles.into_iter().flatten().collect())
     }
 
+    /// One worker item of the tiled batch drivers: expands queries
+    /// `[tile·QUERY_TILE, …)` of the batch into the tile scratch, runs the
+    /// block kernel once for the whole tile, and finishes each query in
+    /// batch order (so the first error a tile reports is the first in batch
+    /// order, preserving the drivers' error contract through the flatten).
+    fn run_tile<T>(
+        &self,
+        batch: &BatchQuery,
+        tile: usize,
+        scratch: &mut PackedScratch,
+        finish: impl Fn(&Self, &PackedScratch, usize, &[u8]) -> Result<T, TdamError>,
+    ) -> Result<Vec<T>, TdamError> {
+        let start = tile * QUERY_TILE;
+        let end = (start + QUERY_TILE).min(batch.len());
+        self.packed
+            .expand_tile((start..end).map(|i| batch.get(i)), scratch);
+        self.packed.mismatch_counts(scratch);
+        (start..end)
+            .enumerate()
+            .map(|(t, i)| finish(self, scratch, t, batch.get(i)))
+            .collect()
+    }
+
+    /// Finishes one query of a counted tile into a full [`SearchOutcome`]:
+    /// packed rows read their `(even, odd)` counts from slot `t` and go
+    /// through count-indexed digitization, the rest fall back to the full
+    /// behavioral model and the shared [`OutcomeAccumulator`] arithmetic.
+    fn finish_search(
+        &self,
+        scratch: &PackedScratch,
+        t: usize,
+        query: &[u8],
+    ) -> Result<SearchOutcome, TdamError> {
+        let mut acc = OutcomeAccumulator::new(self.packed.rows());
+        let mut fallback = self.fallback.iter().peekable();
+        for row in 0..self.packed.rows() {
+            match fallback.next_if(|(r, _)| *r == row) {
+                None => {
+                    let (even, odd) = self.packed.counts(scratch, t, row);
+                    let (row_result, tdc_energy) = self.packed.digitize(even, odd);
+                    acc.push_row(row_result, tdc_energy);
+                }
+                Some((_, chain)) => acc.push_chain(&self.readout, chain.evaluate(query)?),
+            }
+        }
+        Ok(acc.finish(&self.readout))
+    }
+
+    /// Finishes one query of a counted tile decision-only: decoded per-row
+    /// distances and the winner, with no per-row analog reconstruction —
+    /// the output the hardware TDC actually exports, at a fraction of the
+    /// materialization cost of a full [`SearchOutcome`]. Decisions are
+    /// exactly identical to the full paths' ([`SearchOutcome::best_row`]/
+    /// [`SearchOutcome::decoded`]); non-packed rows fall back to the
+    /// behavioral model's decode.
+    fn finish_decide(
+        &self,
+        scratch: &PackedScratch,
+        t: usize,
+        query: &[u8],
+    ) -> Result<crate::packed::PackedDecision, TdamError> {
+        let mut distances = Vec::with_capacity(self.packed.rows());
+        let mut best: Option<(usize, usize)> = None;
+        let mut fallback = self.fallback.iter().peekable();
+        for row in 0..self.packed.rows() {
+            let decoded = match fallback.next_if(|(r, _)| *r == row) {
+                None => {
+                    let (even, odd) = self.packed.counts(scratch, t, row);
+                    self.packed.decoded(even, odd)
+                }
+                Some((_, chain)) => self.readout.tdc.decode_mismatches(
+                    &self.readout.timing,
+                    self.readout.config.stages,
+                    chain.evaluate(query)?.total_delay,
+                ),
+            };
+            // Strictly-less keeps the first minimal row, matching
+            // `SearchOutcome::best_row`'s tie-break.
+            if best.is_none_or(|(_, d)| decoded < d) {
+                best = Some((row, decoded));
+            }
+            distances.push(decoded);
+        }
+        Ok(crate::packed::PackedDecision {
+            best_row: best.map(|(row, _)| row),
+            distances,
+        })
+    }
+
     /// Incrementally re-syncs this snapshot to `source` after row
-    /// mutations, rebuilding **only** the listed rows: each row's chain is
-    /// recloned, its scalar delay LUT recompiled, and its packed bit
-    /// planes surgically rewritten in place
-    /// ([`PackedArray::repack_row`](crate::packed::PackedArray)); the
-    /// snapshot then adopts `source`'s generation. Cost is O(rows
-    /// touched · stages) instead of the O(array) of a fresh
-    /// [`TdamArray::compile_snapshot`] — the repack half of the online
-    /// mutation path, measured and pinned by the `ext_mutation` bench.
+    /// mutations, rebuilding **only** the listed rows: each row's packed
+    /// bit planes are surgically rewritten in place
+    /// ([`PackedArray::repack_row`](crate::packed::PackedArray)) and its
+    /// fallback chain re-cloned if it does not pack; the snapshot then
+    /// adopts `source`'s generation. Cost is O(rows touched · stages)
+    /// instead of the O(array) of a fresh [`TdamArray::compile_snapshot`]
+    /// — the repack half of the online mutation path, measured and
+    /// pinned by the `ext_mutation` bench.
     ///
     /// The caller must list **every** row whose stored contents changed
     /// since this snapshot's generation (the serving runtime tracks the
@@ -1140,22 +873,30 @@ impl CompiledSnapshot {
         source: &TdamArray,
         rows: impl IntoIterator<Item = usize>,
     ) -> usize {
-        debug_assert_eq!(self.array.config, source.config);
+        debug_assert_eq!(self.readout.config, source.config);
         let mut refreshed = 0;
         for row in rows {
-            let chain = source.chains[row].clone();
-            self.compiled[row] = chain.compile();
-            self.array.chains[row] = chain;
-            self.packed.repack_row(&self.array, row);
+            self.packed.repack_row(source, row);
+            let slot = self.fallback.binary_search_by_key(&row, |&(r, _)| r);
+            match (slot, self.packed.is_packed(row)) {
+                (Ok(i), true) => {
+                    self.fallback.remove(i);
+                }
+                (Ok(i), false) => self.fallback[i].1 = source.chains[row].clone(),
+                (Err(i), false) => self.fallback.insert(i, (row, source.chains[row].clone())),
+                (Err(_), true) => {}
+            }
             refreshed += 1;
         }
-        self.array.generation = source.generation;
         self.generation = source.generation;
         refreshed
     }
 
     /// Forces a dispatch-ladder rung for this snapshot's packed kernel
-    /// (see [`CompiledArray::force_kernel`]).
+    /// ([`crate::packed::PackedKernel`]); tests and benchmarks use this
+    /// to pin a rung, production code leaves detection alone. Returns
+    /// `false` (keeping the current rung) when the requested rung is not
+    /// available in this build/CPU.
     pub fn force_kernel(&mut self, kernel: crate::packed::PackedKernel) -> bool {
         self.packed.set_kernel(kernel)
     }
@@ -1222,8 +963,7 @@ impl SimilarityEngine for TdamArray {
                 expected: self.config.stages,
             });
         }
-        let compiled = self.compile();
-        let outcomes = compiled.search_batch(batch, None)?;
+        let outcomes = self.compile_snapshot().search_batch(self, batch, None)?;
         Ok(BatchResult {
             queries: outcomes.iter().map(SearchOutcome::metrics).collect(),
         })
@@ -1381,20 +1121,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compiled_array_bit_identical_search() {
-        let mut am = array(6, 16);
-        for row in 0..6 {
-            let v: Vec<u8> = (0..16).map(|i| ((i + row) % 4) as u8).collect();
-            am.store(row, &v).unwrap();
-        }
-        let compiled = am.compile();
-        assert!(compiled.fully_compiled());
-        assert_eq!(compiled.compiled_rows(), 6);
-        for q in [vec![0u8; 16], (0..16).map(|i| (i % 4) as u8).collect()] {
-            let reference = TdamArray::search(&am, &q).unwrap();
-            let fast = compiled.search(&q).unwrap();
-            assert_eq!(fast, reference, "compiled path must be bit-identical");
+    /// The packed equivalence contract (see [`crate::packed`]): counts,
+    /// decoded distances, winners and energies exact, delays within the
+    /// `2·(1.5·N + 2)·ε` relative reconstruction bound.
+    fn assert_packed_contract(packed: &SearchOutcome, reference: &SearchOutcome, stages: usize) {
+        let bound = 2.0 * (1.5 * stages as f64 + 2.0) * f64::EPSILON;
+        let close = |a: f64, b: f64| (a - b).abs() <= bound * a.abs().max(b.abs());
+        assert_eq!(packed.best_row(), reference.best_row());
+        assert_eq!(packed.decoded(), reference.decoded());
+        assert_eq!(packed.energy, reference.energy);
+        assert!(close(packed.latency, reference.latency));
+        assert_eq!(packed.rows.len(), reference.rows.len());
+        for (p, r) in packed.rows.iter().zip(&reference.rows) {
+            assert_eq!(p.count, r.count);
+            assert_eq!(p.chain.even_mismatches, r.chain.even_mismatches);
+            assert_eq!(p.chain.odd_mismatches, r.chain.odd_mismatches);
+            assert_eq!(p.chain.energy, r.chain.energy);
+            assert!(close(p.chain.rising_delay, r.chain.rising_delay));
+            assert!(close(p.chain.falling_delay, r.chain.falling_delay));
+            assert!(close(p.chain.total_delay, r.chain.total_delay));
         }
     }
 
@@ -1403,20 +1148,20 @@ mod tests {
         let mut am = array(3, 8);
         am.store(0, &[1; 8]).unwrap();
         am.store(2, &[2; 8]).unwrap();
-        // Row 1: perturbed thresholds — must not compile, must still agree
-        // with the reference search via the fallback path.
+        // Row 1: perturbed thresholds — must not pack, must still agree
+        // with the reference search via the behavioral fallback.
         let cells = (0..8)
             .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.63, 1.02).unwrap())
             .collect();
         am.store_cells(1, cells).unwrap();
-        let compiled = am.compile();
-        assert!(!compiled.fully_compiled());
-        assert_eq!(compiled.compiled_rows(), 2);
+        let snap = am.compile_snapshot();
+        assert_eq!(snap.packed_rows(), 2);
         let q = vec![2u8; 8];
-        assert_eq!(
-            compiled.search(&q).unwrap(),
-            TdamArray::search(&am, &q).unwrap()
-        );
+        let packed = snap.search_packed(&am, &q).unwrap();
+        let reference = TdamArray::search(&am, &q).unwrap();
+        assert_packed_contract(&packed, &reference, 8);
+        // The fallback row runs the behavioral model itself: bit-identical.
+        assert_eq!(packed.rows[1], reference.rows[1]);
     }
 
     #[test]
@@ -1455,38 +1200,34 @@ mod tests {
             let v: Vec<u8> = (0..10).map(|i| ((i * 2 + row) % 4) as u8).collect();
             am.store(row, &v).unwrap();
         }
-        let compiled = am.compile();
-        assert_eq!(compiled.packed_rows(), compiled.compiled_rows());
+        let snap = am.compile_snapshot();
+        assert_eq!(snap.packed_rows(), 4);
         let rows: Vec<Vec<u8>> = (0..5)
             .map(|k| (0..10).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
         let batch = BatchQuery::from_rows(&rows).unwrap();
-        let batched = compiled.search_batch(&batch, Some(1)).unwrap();
+        let batched = snap.search_batch(&am, &batch, Some(1)).unwrap();
         for (i, q) in rows.iter().enumerate() {
-            assert_eq!(compiled.search_packed(q).unwrap(), batched[i]);
-        }
-        // The scalar LUT tier stays available and bit-identical to the
-        // behavioral reference.
-        let lut = compiled.search_batch_lut(&batch, Some(1)).unwrap();
-        for (i, q) in rows.iter().enumerate() {
-            assert_eq!(lut[i], TdamArray::search(&am, q).unwrap());
+            assert_eq!(snap.search_packed(&am, q).unwrap(), batched[i]);
+            assert_packed_contract(&batched[i], &TdamArray::search(&am, q).unwrap(), 10);
         }
     }
 
     #[test]
     fn packed_batch_rejects_invalid_elements_up_front() {
         let am = array(2, 4);
-        let compiled = am.compile();
+        let snap = am.compile_snapshot();
         let mut batch = BatchQuery::new(4);
         batch.push(&[0, 1, 2, 3]).unwrap();
         // Push a query with an out-of-range element for the 2-bit
         // encoding: batch-level validation must reject the whole batch.
         batch.push(&[0, 9, 0, 0]).unwrap();
-        assert!(compiled.search_batch(&batch, Some(1)).is_err());
+        assert!(snap.search_batch(&am, &batch, Some(1)).is_err());
+        assert!(snap.decide_batch(&am, &batch, Some(1)).is_err());
     }
 
     #[test]
-    fn compiled_batch_thread_count_invariant() {
+    fn snapshot_batch_thread_count_invariant() {
         let mut am = array(3, 8);
         am.store(0, &[1; 8]).unwrap();
         am.store(1, &[2; 8]).unwrap();
@@ -1494,10 +1235,10 @@ mod tests {
             .map(|k| (0..8).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
         let batch = BatchQuery::from_rows(&rows).unwrap();
-        let compiled = am.compile();
-        let one = compiled.search_batch(&batch, Some(1)).unwrap();
+        let snap = am.compile_snapshot();
+        let one = snap.search_batch(&am, &batch, Some(1)).unwrap();
         for threads in [Some(2), Some(5), None] {
-            assert_eq!(compiled.search_batch(&batch, threads).unwrap(), one);
+            assert_eq!(snap.search_batch(&am, &batch, threads).unwrap(), one);
         }
     }
 
@@ -1527,16 +1268,17 @@ mod tests {
         am.store(0, &[1, 2, 3, 0]).unwrap();
         let snap = am.compile_snapshot();
         assert!(snap.is_fresh(&am));
-        assert_eq!(
-            snap.search(&am, &[1, 2, 3, 0]).unwrap(),
-            TdamArray::search(&am, &[1, 2, 3, 0]).unwrap()
+        assert_packed_contract(
+            &snap.search_packed(&am, &[1, 2, 3, 0]).unwrap(),
+            &TdamArray::search(&am, &[1, 2, 3, 0]).unwrap(),
+            4,
         );
 
-        // Reprogram after compile: the old tables would decode row 0 as a
+        // Reprogram after compile: the old planes would decode row 0 as a
         // perfect match for the *old* contents — that must be refused.
         am.store(0, &[3, 3, 3, 3]).unwrap();
         assert!(!snap.is_fresh(&am));
-        let err = snap.search(&am, &[1, 2, 3, 0]).unwrap_err();
+        let err = snap.search_packed(&am, &[1, 2, 3, 0]).unwrap_err();
         assert_eq!(
             err,
             TdamError::StaleCompile {
@@ -1549,14 +1291,18 @@ mod tests {
             snap.search_batch(&am, &batch, Some(1)).unwrap_err(),
             TdamError::StaleCompile { .. }
         ));
+        assert!(matches!(
+            snap.decide_batch(&am, &batch, Some(1)).unwrap_err(),
+            TdamError::StaleCompile { .. }
+        ));
         // The unchecked path still serves the frozen compile-time state.
-        let frozen = snap.search_unchecked(&[1, 2, 3, 0]).unwrap();
+        let frozen = snap.search_packed_unchecked(&[1, 2, 3, 0]).unwrap();
         assert_eq!(frozen.rows[0].decoded_mismatches, 0);
 
         // Recompile heals it.
         let snap2 = am.compile_snapshot();
         assert_eq!(
-            snap2.search(&am, &[3, 3, 3, 3]).unwrap().best_row(),
+            snap2.search_packed(&am, &[3, 3, 3, 3]).unwrap().best_row(),
             Some(0)
         );
         assert_eq!(err.class(), crate::ErrorClass::Transient);
@@ -1589,10 +1335,6 @@ mod tests {
             .collect();
         for q in &rows {
             assert_eq!(
-                snap.search(&am, q).unwrap(),
-                rebuilt.search(&am, q).unwrap()
-            );
-            assert_eq!(
                 snap.search_packed(&am, q).unwrap(),
                 rebuilt.search_packed(&am, q).unwrap()
             );
@@ -1605,54 +1347,57 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rows_tracks_compiled_tier_transitions() {
+    fn refresh_rows_tracks_packed_tier_transitions() {
         let mut am = array(3, 8);
         for row in 0..3 {
             am.store(row, &[1; 8]).unwrap();
         }
         let mut snap = am.compile_snapshot();
-        assert!(snap.fully_compiled());
-        // A perturbed-cell write demotes the row's scalar LUT and packed
-        // service on refresh...
-        let cells = (0..8)
-            .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.63, 1.02).unwrap())
-            .collect();
-        am.store_cells(1, cells).unwrap();
-        snap.refresh_rows(&am, [1usize]);
-        assert_eq!(snap.compiled_rows(), 2);
-        assert_eq!(snap.packed_rows(), 2);
-        // ...and a nominal rewrite restores both tiers.
+        assert_eq!(snap.packed_rows(), 3);
+        let encoding = am.config().encoding;
+        // A perturbed-cell write demotes the row's packed service on
+        // refresh, and a second perturbed write replaces its fallback
+        // chain...
+        for vth_a in [0.63, 0.66] {
+            let cells = (0..8)
+                .map(|_| crate::cell::Cell::with_vth(1, encoding, vth_a, 1.02).unwrap())
+                .collect();
+            am.store_cells(1, cells).unwrap();
+            snap.refresh_rows(&am, [1usize]);
+            assert_eq!(snap.packed_rows(), 2);
+            let q = [2u8; 8];
+            let got = snap.search_packed(&am, &q).unwrap();
+            assert_eq!(got.rows[1], TdamArray::search(&am, &q).unwrap().rows[1]);
+        }
+        // ...and a nominal rewrite restores it.
         am.store(1, &[2; 8]).unwrap();
         snap.refresh_rows(&am, [1usize]);
-        assert!(snap.fully_compiled());
         assert_eq!(snap.packed_rows(), 3);
-        assert_eq!(snap.search_unchecked(&[2; 8]).unwrap().best_row(), Some(1));
+        assert_eq!(
+            snap.search_packed_unchecked(&[2; 8]).unwrap().best_row(),
+            Some(1)
+        );
     }
 
     #[test]
-    fn snapshot_search_bit_identical_to_reference() {
+    fn snapshot_search_matches_reference_under_packed_contract() {
         let mut am = array(5, 16);
         for row in 0..5 {
             let v: Vec<u8> = (0..16).map(|i| ((i * 3 + row) % 4) as u8).collect();
             am.store(row, &v).unwrap();
         }
         let snap = am.compile_snapshot();
-        assert!(snap.fully_compiled());
-        assert_eq!(snap.compiled_rows(), 5);
+        assert_eq!(snap.packed_rows(), 5);
         assert_eq!(snap.generation(), am.generation());
         let rows: Vec<Vec<u8>> = (0..9)
             .map(|k| (0..16).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
-        for q in &rows {
-            assert_eq!(
-                snap.search(&am, q).unwrap(),
-                TdamArray::search(&am, q).unwrap()
-            );
-        }
         let batch = BatchQuery::from_rows(&rows).unwrap();
-        let one = snap.search_batch(&am, &batch, Some(1)).unwrap();
-        for threads in [Some(3), None] {
-            assert_eq!(snap.search_batch(&am, &batch, threads).unwrap(), one);
+        let batched = snap.search_batch(&am, &batch, None).unwrap();
+        for (q, got) in rows.iter().zip(&batched) {
+            let reference = TdamArray::search(&am, q).unwrap();
+            assert_packed_contract(&snap.search_packed(&am, q).unwrap(), &reference, 16);
+            assert_packed_contract(got, &reference, 16);
         }
     }
 

@@ -295,169 +295,6 @@ impl DelayChain {
         let est = ((total_delay - base) / self.timing.d_c).round();
         est.clamp(0.0, self.len() as f64) as usize
     }
-
-    /// Compiles the chain into a flat per-cell delay lookup table for the
-    /// batched query path, or `None` if any cell carries non-nominal
-    /// thresholds.
-    ///
-    /// Variation-perturbed cells cannot be tabulated: their cap-attachment
-    /// factor depends on the edge arrival time, which depends on every
-    /// earlier stage of the *query* — exactly the coupling the
-    /// variation-aware model exists to capture. Such chains keep the full
-    /// [`DelayChain::evaluate`] path; nominal chains (the common serving
-    /// case, where rows were stored through [`DelayChain::new`] /
-    /// `SimilarityEngine::store`) collapse to a table lookup per stage.
-    pub fn compile(&self) -> Option<CompiledChain> {
-        if self.cells.iter().any(|c| !c.is_nominal()) {
-            return None;
-        }
-        let t = &self.timing;
-        // The hot loop recovers the mismatch bit from the tabulated delay
-        // (`d_inv + d_c` vs `d_inv`), which requires the two to be
-        // distinguishable as f64 values. `d_c` is orders of magnitude
-        // above one ulp of `d_inv` for any physical calibration; refuse to
-        // compile a degenerate one rather than miscount.
-        if t.d_inv + t.d_c == t.d_inv {
-            return None;
-        }
-        let stages = self.cells.len();
-        let levels = self.encoding.levels() as usize;
-        let mut lut = Vec::with_capacity(stages * levels);
-        for cell in &self.cells {
-            for q in 0..levels {
-                let mis = cell.stored() != q as u8;
-                lut.push(if mis { t.d_inv + t.d_c } else { t.d_inv });
-            }
-        }
-        // Energy accumulates by repeated addition in `evaluate`; repeated
-        // f64 addition and `n × e` differ in the last ulp, so the tables
-        // are built the same way the reference path sums them.
-        let mut cum_cap = Vec::with_capacity(stages + 1);
-        let mut cum_mn = Vec::with_capacity(stages + 1);
-        let (mut cap, mut mn) = (0.0f64, 0.0f64);
-        cum_cap.push(cap);
-        cum_mn.push(mn);
-        for _ in 0..stages {
-            cap += t.e_c;
-            mn += t.e_mn;
-            cum_cap.push(cap);
-            cum_mn.push(mn);
-        }
-        Some(CompiledChain {
-            encoding: self.encoding,
-            stages,
-            levels,
-            d_inv: t.d_inv,
-            lut,
-            cum_cap_energy: cum_cap,
-            cum_mn_energy: cum_mn,
-            inverter_energy: stages as f64 * t.e_inv,
-            search_line_energy: stages as f64 * t.e_sl,
-        })
-    }
-}
-
-/// A [`DelayChain`] compiled down to flat per-cell delay tables for the
-/// batched query path.
-///
-/// `lut[j · levels + q]` is the delay of stage `j` when it is *active*
-/// (its step's edge passes through it) and queried with level `q`; an
-/// inactive stage always contributes `d_INV`. Evaluation walks the stages
-/// once, accumulating both steps' delays in the same order as
-/// [`DelayChain::evaluate`], so results are bit-identical to the
-/// reference path — a property the batch engine's determinism tests pin
-/// down.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledChain {
-    encoding: Encoding,
-    stages: usize,
-    levels: usize,
-    d_inv: f64,
-    lut: Vec<f64>,
-    cum_cap_energy: Vec<f64>,
-    cum_mn_energy: Vec<f64>,
-    inverter_energy: f64,
-    search_line_energy: f64,
-}
-
-impl CompiledChain {
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages
-    }
-
-    /// Whether the compiled chain has no stages (never true for a
-    /// validated config).
-    pub fn is_empty(&self) -> bool {
-        self.stages == 0
-    }
-
-    /// Searches `query` using the precompiled tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TdamError::LengthMismatch`] or
-    /// [`TdamError::ValueOutOfRange`] for malformed queries, exactly like
-    /// [`DelayChain::evaluate`].
-    pub fn evaluate(&self, query: &[u8]) -> Result<ChainResult, TdamError> {
-        if query.len() != self.stages {
-            return Err(TdamError::LengthMismatch {
-                got: query.len(),
-                expected: self.stages,
-            });
-        }
-        self.encoding.validate(query)?;
-        Ok(self.evaluate_prevalidated(query))
-    }
-
-    /// The table-walk core of [`evaluate`](Self::evaluate), assuming the
-    /// query already passed length and range validation. The batched array
-    /// path validates each query once and then calls this for every row.
-    pub(crate) fn evaluate_prevalidated(&self, query: &[u8]) -> ChainResult {
-        let d_inv = self.d_inv;
-        let mut rising = 0.0f64;
-        let mut falling = 0.0f64;
-        let mut even_mismatches = 0usize;
-        let mut odd_mismatches = 0usize;
-        let mut even = true;
-        for (stage_delays, &q) in self.lut.chunks_exact(self.levels).zip(query) {
-            let active_delay = stage_delays[q as usize];
-            // A mismatching stage was tabulated as `d_inv + d_c`, a
-            // matching one as exactly `d_inv`; `compile` guarantees the
-            // two are distinct f64 values.
-            let mis = (active_delay != d_inv) as usize;
-            // Each stage is active in exactly one step and contributes
-            // `d_INV` to the other; both accumulators see their addends
-            // in stage order, matching the reference two-pass loop.
-            if even {
-                rising += active_delay;
-                falling += d_inv;
-                even_mismatches += mis;
-            } else {
-                rising += d_inv;
-                falling += active_delay;
-                odd_mismatches += mis;
-            }
-            even = !even;
-        }
-        let mismatches = even_mismatches + odd_mismatches;
-        let energy = EnergyBreakdown {
-            inverters: self.inverter_energy,
-            load_caps: self.cum_cap_energy[mismatches],
-            match_nodes: self.cum_mn_energy[mismatches],
-            search_lines: self.search_line_energy,
-            ..EnergyBreakdown::default()
-        };
-        ChainResult {
-            rising_delay: rising,
-            falling_delay: falling,
-            total_delay: rising + falling,
-            mismatches,
-            even_mismatches,
-            odd_mismatches,
-            energy,
-        }
-    }
 }
 
 /// Fraction of the load capacitor effectively attached when the edge
@@ -662,54 +499,6 @@ mod tests {
             d_bad > d_good + 0.5 * good.timing().d_c,
             "false conduction should cost ~d_C: {d_bad:.3e} vs {d_good:.3e}"
         );
-    }
-
-    #[test]
-    fn compiled_chain_bit_identical_to_evaluate() {
-        let stored: Vec<u8> = (0..32).map(|i| (i * 7 % 4) as u8).collect();
-        let chain = chain_of(&stored);
-        let compiled = chain.compile().expect("nominal chain must compile");
-        assert_eq!(compiled.len(), 32);
-        assert!(!compiled.is_empty());
-        let queries: Vec<Vec<u8>> = vec![
-            stored.clone(),
-            vec![0; 32],
-            vec![3; 32],
-            (0..32).map(|i| (i % 4) as u8).collect(),
-            (0..32).map(|i| (3 - i % 4) as u8).collect(),
-        ];
-        for q in &queries {
-            let reference = chain.evaluate(q).unwrap();
-            let fast = compiled.evaluate(q).unwrap();
-            // Exact equality, not tolerance: the batch path must be
-            // indistinguishable from the reference path.
-            assert_eq!(fast, reference);
-        }
-    }
-
-    #[test]
-    fn compiled_chain_rejects_malformed_queries() {
-        let compiled = chain_of(&[0; 4]).compile().unwrap();
-        assert!(matches!(
-            compiled.evaluate(&[0; 3]),
-            Err(TdamError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            compiled.evaluate(&[0, 0, 0, 9]),
-            Err(TdamError::ValueOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn non_nominal_chain_refuses_to_compile() {
-        let config = cfg(4);
-        let timing = StageTiming::analytic(&config.tech, config.c_load).unwrap();
-        let mut cells: Vec<Cell> = (0..4)
-            .map(|_| Cell::new(1, config.encoding).unwrap())
-            .collect();
-        cells[2] = Cell::with_vth(1, config.encoding, 0.65, 1.05).unwrap();
-        let perturbed = DelayChain::from_cells(cells, &config, timing).unwrap();
-        assert!(perturbed.compile().is_none());
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //!   fault campaigns
 //! - [`runtime`] — the fault-tolerant serving runtime: per-batch deadline
 //!   budgets with partial results, panic isolation, health probes with a
-//!   circuit breaker, and a compiled-LUT → behavioral → degraded backend
+//!   circuit breaker, and a packed-kernel → behavioral → degraded backend
 //!   fallback chain
 //! - [`store`] — durable state: CRC-checksummed checkpoint snapshots with
 //!   atomic commit, a write-ahead journal of post-checkpoint mutations,
@@ -99,8 +99,8 @@
 //! ```
 //!
 //! Batched serving — store rows, answer a whole batch in one call (the
-//! stored rows are compiled to delay lookup tables and the queries fan
-//! out across worker threads), then read each query's best row:
+//! stored rows are packed into the bit-sliced kernel and the queries
+//! fan out across worker threads), then read each query's best row:
 //!
 //! ```
 //! use tdam::config::ArrayConfig;
@@ -156,7 +156,7 @@ pub mod tdc;
 pub mod throughput;
 pub mod timing;
 
-pub use array::{CompiledArray, CompiledSnapshot, SearchOutcome, TdamArray};
+pub use array::{CompiledSnapshot, SearchOutcome, TdamArray};
 pub use chain::DelayChain;
 pub use config::{ArrayConfig, TechParams};
 pub use corpus::{CorpusBuilder, CorpusConfig, CorpusEngine, CorpusTierStatus};
@@ -213,12 +213,12 @@ pub enum TdamError {
     },
     /// A parallel worker thread panicked or was lost.
     Worker,
-    /// A compiled delay-LUT view no longer matches the array it was built
+    /// A compiled snapshot no longer matches the array it was built
     /// from: the array was reprogrammed (or had faults injected) after
-    /// compilation. Recompiling fixes it — serving from the stale tables
+    /// compilation. Recompiling fixes it — serving from the stale planes
     /// would silently return wrong bits.
     StaleCompile {
-        /// Array generation the tables were compiled at.
+        /// Array generation the snapshot was compiled at.
         compiled: u64,
         /// The array's current generation.
         current: u64,
@@ -232,7 +232,7 @@ pub enum TdamError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ErrorClass {
     /// Retrying the same operation may succeed: lost workers (panics),
-    /// stale compiled tables (recompile), circuit convergence failures.
+    /// stale compiled snapshots (recompile), circuit convergence failures.
     Transient,
     /// The hardware completed the operation but with reduced fidelity
     /// (e.g. a device exhausted write-verify escalation): serving can
@@ -293,7 +293,7 @@ impl core::fmt::Display for TdamError {
             Self::Worker => write!(f, "a parallel worker thread failed"),
             Self::StaleCompile { compiled, current } => write!(
                 f,
-                "compiled delay tables are stale: compiled at generation \
+                "compiled snapshot is stale: compiled at generation \
                  {compiled}, array is at generation {current}"
             ),
             Self::Circuit(e) => write!(f, "circuit simulation failed: {e}"),

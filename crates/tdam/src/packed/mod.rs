@@ -5,16 +5,15 @@
 //!
 //! The TD-AM's serving decision reduces to counting per-parity code
 //! mismatches per row: a matching stage contributes `d_INV` to its step,
-//! a mismatching stage `d_INV + d_C` (see [`crate::chain`]). The scalar
-//! compiled path ([`crate::chain::CompiledChain`]) walks ~`stages`
-//! dependent f64 LUT loads per row to rediscover that count. This module
+//! a mismatching stage `d_INV + d_C` (see [`crate::chain`]). The
+//! behavioral model ([`crate::chain::DelayChain::evaluate`]) walks every
+//! stage of every row, in f64, to rediscover that count. This module
 //! replaces the walk with a bit-sliced compare:
 //!
 //! 1. **Packing** — each stored row's ≤4-bit level codes are bit-plane-
 //!    packed into `u64` words: bit `j mod 64` of plane word
 //!    `planes[row][b][j / 64]` is bit `b` of the level code stored at
-//!    stage `j`. A 128-stage 2-bit row shrinks from a 4 KiB f64 LUT to
-//!    four words.
+//!    stage `j`. A 128-stage 2-bit row is four words.
 //! 2. **Query broadcast** — one query (or a tile of them) expands once
 //!    per batch-worker into the same plane layout
 //!    ([`PackedArray::expand_query`] / [`PackedArray::expand_tile`]),
@@ -27,8 +26,8 @@
 //!    single-row reference [`PackedArray::row_mismatches`]).
 //! 4. **Reconstruction** — delays, TDC digitization, and energies are
 //!    rebuilt from the `(even, odd)` counts via count-indexed tables
-//!    built by the same repeated-addition discipline as the scalar path's
-//!    cumulative energy tables (`PackedArray::digest`).
+//!    built by repeated addition, the same discipline the behavioral
+//!    model accumulates its energies with (`PackedArray::digest`).
 //!
 //! # Execution: the dispatch ladder and the lane layout
 //!
@@ -61,8 +60,8 @@
 //!
 //! Batch serving additionally blocks the loop nest for cache residency
 //! (**query-major tiling**): the batch paths
-//! ([`CompiledArray::search_batch`](crate::array::CompiledArray::search_batch),
-//! [`CompiledArray::decide_batch`](crate::array::CompiledArray::decide_batch))
+//! ([`CompiledSnapshot::search_batch`](crate::array::CompiledSnapshot::search_batch),
+//! [`CompiledSnapshot::decide_batch`](crate::array::CompiledSnapshot::decide_batch))
 //! expand a tile of up to 8 queries per work item, and
 //! [`PackedArray::mismatch_counts`] walks row blocks (sized to ~16 KiB of
 //! lane words, i.e. L1-resident) in the outer loop with the tile's
@@ -74,7 +73,7 @@
 //! # Examples
 //!
 //! Counting mismatches directly through the packed view (the serving
-//! paths normally drive this via `CompiledArray`/`CompiledSnapshot`):
+//! paths normally drive this via `CompiledSnapshot`):
 //!
 //! ```
 //! use std::collections::BTreeSet;
@@ -123,7 +122,7 @@
 //!
 //! Rows holding variation-perturbed cells cannot be packed (their delay
 //! is not a pure function of the mismatch pattern) and keep the full
-//! behavioral fallback, exactly like the scalar compiled path.
+//! behavioral fallback.
 //!
 //! # Masked stages
 //!
@@ -298,7 +297,7 @@ impl PackedScratch {
 /// [`SearchOutcome`](crate::array::SearchOutcome).
 ///
 /// Produced by the decision-only batch paths
-/// ([`CompiledArray::decide_batch`](crate::array::CompiledArray::decide_batch)),
+/// ([`CompiledSnapshot::decide_batch`](crate::array::CompiledSnapshot::decide_batch)),
 /// whose fields are **exactly identical** to
 /// [`SearchOutcome::best_row`](crate::array::SearchOutcome::best_row) and
 /// [`SearchOutcome::decoded`](crate::array::SearchOutcome::decoded) on the
@@ -329,9 +328,8 @@ struct RowDigest {
 /// parity masks, and the count-indexed reconstruction tables.
 ///
 /// Built by [`PackedArray::build`] (callers usually go through
-/// [`TdamArray::compile`](crate::TdamArray::compile) /
 /// [`TdamArray::compile_snapshot`](crate::TdamArray::compile_snapshot),
-/// which carry a packed view alongside the scalar tables).
+/// whose one compiled form is this view).
 #[derive(Debug, Clone)]
 pub struct PackedArray {
     stages: usize,
@@ -379,7 +377,8 @@ pub struct PackedArray {
     max_even: usize,
     max_odd: usize,
     /// Cumulative load-cap / match-node energies by total mismatch
-    /// count, built by repeated addition exactly like the scalar path.
+    /// count, built by repeated addition exactly like the behavioral
+    /// model accumulates them.
     cum_cap_energy: Vec<f64>,
     cum_mn_energy: Vec<f64>,
     inverter_energy: f64,
@@ -393,8 +392,8 @@ impl PackedArray {
     /// in `masked` are packed as always-match (see the module docs). Rows
     /// with non-nominal cells outside the mask are flagged for the
     /// behavioral fallback. A degenerate calibration where `d_INV + d_C`
-    /// is indistinguishable from `d_INV` refuses to pack any row, like
-    /// [`DelayChain::compile`](crate::chain::DelayChain::compile).
+    /// is indistinguishable from `d_INV` refuses to pack any row: the
+    /// mismatch count would no longer be recoverable from delay.
     pub fn build(array: &TdamArray, masked: &BTreeSet<usize>) -> Self {
         let config = array.config();
         let stages = config.stages;
@@ -496,9 +495,8 @@ impl PackedArray {
         let packable = vec![false; rows];
 
         // Count-indexed reconstruction tables, all built by repeated
-        // addition — the same discipline as the scalar compiled path's
-        // cumulative energy tables, so the energy figures stay bitwise
-        // equal to the behavioral accumulation of identical addends.
+        // addition, so the energy figures stay bitwise equal to the
+        // behavioral accumulation of identical addends.
         let max_even = stages.div_ceil(2);
         let max_odd = stages / 2;
         let max_k = max_even.max(max_odd);
@@ -1085,7 +1083,7 @@ mod tests {
         let am = seeded_array(2, 8, 2, 1);
         // Forge a calibration where d_C vanishes under d_INV in f64: the
         // mismatch count is no longer recoverable from delay, so no row
-        // may be packed (mirroring DelayChain::compile's refusal).
+        // may be packed.
         let mut timing = *am.timing();
         timing.d_c = timing.d_inv * f64::EPSILON * 0.25;
         let degenerate = TdamArray::with_timing(*am.config(), timing).unwrap();
@@ -1219,22 +1217,22 @@ mod tests {
     }
 
     #[test]
-    fn packing_tracks_delay_chain_compile_refusals() {
-        // Whatever refuses DelayChain::compile also refuses packing (and
-        // vice versa) when no mask is in play, so the scalar and packed
-        // tiers always agree on which rows are fast-path.
+    fn packing_admits_exactly_the_nominal_rows() {
+        // With no mask in play, a row packs iff every one of its cells is
+        // nominal and the calibration keeps `d_INV + d_C` distinct from
+        // `d_INV`; every other row keeps the behavioral fallback.
         let mut am = seeded_array(2, 12, 3, 42);
         let cells = (0..12)
             .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.65, 1.05).unwrap())
             .collect();
         am.store_cells(2, cells).unwrap();
+        let timing = am.timing();
+        assert_ne!(timing.d_inv + timing.d_c, timing.d_inv, "sound calibration");
         let packed = PackedArray::build(&am, &BTreeSet::new());
         for (row, chain) in am.chains().iter().enumerate() {
-            assert_eq!(
-                packed.is_packed(row),
-                chain.compile().is_some(),
-                "row {row}"
-            );
+            let nominal = chain.cells().iter().all(crate::cell::Cell::is_nominal);
+            assert_eq!(packed.is_packed(row), nominal, "row {row}");
         }
+        assert_eq!(packed.packed_rows(), 2, "only the perturbed row falls back");
     }
 }

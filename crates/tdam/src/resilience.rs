@@ -1093,9 +1093,9 @@ impl ResilientArray {
     /// to a raw physical [`crate::array::SearchOutcome`].
     ///
     /// This is the second half of [`ResilientArray::search`], exposed so
-    /// alternative physical search paths — notably the compiled-LUT
+    /// alternative physical search paths — notably the packed compiled
     /// snapshot used by the serving runtime ([`crate::runtime`]) — can
-    /// produce results bit-identical to the behavioral path.
+    /// resolve their outcomes exactly as the behavioral path does.
     pub fn resolve_outcome(&self, out: &crate::array::SearchOutcome) -> ResilientOutcome {
         let stages = self.array.config().stages;
         let mut rows = Vec::with_capacity(self.data_rows);

@@ -3,7 +3,7 @@
 //!
 //! The batched serving surface of [`crate::engine`] is all-or-nothing: a
 //! single poisoned query, a transient circuit-convergence failure, or a
-//! compiled-LUT view gone stale after an in-place reprogram fails the
+//! compiled snapshot gone stale after an in-place reprogram fails the
 //! whole batch. This module keeps the array *answering*:
 //!
 //! 1. **Partial results** — [`ResilientEngine::serve`] returns a
@@ -18,11 +18,11 @@
 //!    replays the known-answer reference rows of
 //!    [`crate::resilience::ResilientArray`]; consecutive misses trip a
 //!    [`CircuitBreaker`] that demotes serving along the fallback chain
-//!    compiled LUT → behavioral model → fault-masked degraded mode
+//!    packed kernel → behavioral model → fault-masked degraded mode
 //!    ([`BackendKind`]), runs detection + repair, and promotes back once
 //!    the references answer again. Reprogramming bumps the array
 //!    [generation](crate::array::TdamArray::generation), so stale
-//!    compiled tables are invalidated and recompiled automatically
+//!    compiled snapshots are invalidated and recompiled automatically
 //!    instead of serving wrong bits.
 //! 4. **Retry with backoff** — failed slots whose error classifies as
 //!    [`ErrorClass::Transient`] (lost workers, stale compiles, circuit
@@ -172,7 +172,7 @@ pub enum BackendKind {
     /// decisions (winners, decoded distances) exactly match the
     /// behavioral model; reconstructed delays carry the documented ulp
     /// bound.
-    CompiledLut,
+    Packed,
     /// The full behavioral model — serving while the breaker is open on
     /// the compiled path (health miss pending repair).
     Behavioral,
@@ -180,6 +180,28 @@ pub enum BackendKind {
     /// columns, under-counting or dead rows), results are still ranked
     /// but flagged [`DegradationLevel::Degraded`].
     DegradedMasked,
+}
+
+impl BackendKind {
+    /// The one-byte tag that names this backend on the serve wire and in
+    /// checkpoints. The mapping is part of both formats and never changes.
+    pub fn tag(self) -> u8 {
+        match self {
+            Self::Packed => 0,
+            Self::Behavioral => 1,
+            Self::DegradedMasked => 2,
+        }
+    }
+
+    /// The backend a tag names, or `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(Self::Packed),
+            1 => Some(Self::Behavioral),
+            2 => Some(Self::DegradedMasked),
+            _ => None,
+        }
+    }
 }
 
 /// The outcome of one query slot.
@@ -471,7 +493,7 @@ impl EpochSnapshots {
 }
 
 /// The fault-tolerant serving engine: a [`ResilientArray`] wrapped with
-/// compiled-LUT serving, health monitoring, a circuit breaker over the
+/// packed-kernel serving, health monitoring, a circuit breaker over the
 /// backend fallback chain, per-batch deadlines, slot-isolated panics,
 /// and bounded transient retry.
 ///
@@ -525,7 +547,7 @@ impl ResilientEngine {
             cfg,
             epochs: Arc::new(EpochSnapshots::new()),
             dirty: None,
-            backend: BackendKind::CompiledLut,
+            backend: BackendKind::Packed,
             breaker,
             batches_since_check: 0,
             chaos: None,
@@ -712,9 +734,9 @@ impl ResilientEngine {
             return Ok(());
         }
         self.stats.health_misses += 1;
-        if self.backend == BackendKind::CompiledLut {
+        if self.backend == BackendKind::Packed {
             // Never keep serving the fast path past a probe miss: the
-            // same physics backs the LUTs.
+            // packed planes encode the same damaged rows.
             self.backend = BackendKind::Behavioral;
             self.stats.demotions += 1;
         }
@@ -792,13 +814,13 @@ impl ResilientEngine {
         let target = if self.array.degradation().level == DegradationLevel::Degraded {
             BackendKind::DegradedMasked
         } else {
-            BackendKind::CompiledLut
+            BackendKind::Packed
         };
         if self.backend != target {
             // Any move that reaches the compiled path is a promotion;
-            // CompiledLut → DegradedMasked (references pass but damage
+            // Packed → DegradedMasked (references pass but damage
             // remains, e.g. masked columns) is a demotion.
-            if target == BackendKind::CompiledLut {
+            if target == BackendKind::Packed {
                 self.stats.promotions += 1;
             } else {
                 self.stats.demotions += 1;
@@ -824,7 +846,7 @@ impl ResilientEngine {
         }
         let query = batch.get(slot);
         match (self.backend, snapshot) {
-            (BackendKind::CompiledLut, Some(snap)) => {
+            (BackendKind::Packed, Some(snap)) => {
                 // Packed bit-sliced kernel on the epoch-pinned snapshot:
                 // winners and decoded distances are exactly those of the
                 // behavioral model (the health probes and the chaos
@@ -866,13 +888,13 @@ impl ResilientEngine {
                 self.health_check()?;
             }
         }
-        if self.backend == BackendKind::CompiledLut {
+        if self.backend == BackendKind::Packed {
             self.ensure_snapshot();
         }
         // Pin the current epoch for the whole batch (retries included):
         // slots never observe a snapshot swap mid-flight.
         let mut pinned = match self.backend {
-            BackendKind::CompiledLut => self.epochs.acquire(),
+            BackendKind::Packed => self.epochs.acquire(),
             _ => None,
         };
 
@@ -938,7 +960,7 @@ impl ResilientEngine {
             if saw_stale {
                 self.ensure_snapshot();
                 pinned = match self.backend {
-                    BackendKind::CompiledLut => self.epochs.acquire(),
+                    BackendKind::Packed => self.epochs.acquire(),
                     _ => None,
                 };
             }
@@ -1006,7 +1028,7 @@ impl SimilarityEngine for ResilientEngine {
         // [`Guarded`]-wrapped engine also serves epoch-pinned off the
         // compiled path), with the behavioral model as the fallback
         // whenever the backend is demoted.
-        if self.backend == BackendKind::CompiledLut {
+        if self.backend == BackendKind::Packed {
             self.ensure_snapshot();
             if let Some(snap) = self.epochs.acquire() {
                 let out = snap.search_packed_unchecked(query)?;
@@ -1646,7 +1668,7 @@ mod tests {
         }
         let batch = ramp_batch(16, 6);
         let outcome = eng.serve(&batch).unwrap();
-        assert_eq!(outcome.backend, BackendKind::CompiledLut);
+        assert_eq!(outcome.backend, BackendKind::Packed);
         assert_eq!(outcome.degradation, DegradationLevel::Nominal);
         assert_eq!(outcome.availability(), 1.0);
         for (slot, q) in outcome.slots.iter().enumerate() {
@@ -1747,10 +1769,10 @@ mod tests {
         // Reprogram: the published snapshot is now stale. The write went
         // through the tracked path, so the refresh is *surgical* — one
         // row repacked, published as a new epoch — never served stale
-        // (its tables decode the *old* row contents).
+        // (its planes decode the *old* row contents).
         eng.store(0, &ramp(8, 3)).unwrap();
         let outcome = eng.serve(&batch).unwrap();
-        assert_eq!(outcome.backend, BackendKind::CompiledLut);
+        assert_eq!(outcome.backend, BackendKind::Packed);
         let snap = eng.snapshot().unwrap();
         assert!(snap.generation() > gen_before);
         assert_eq!(eng.stats().recompiles, 1);
@@ -1978,7 +2000,7 @@ mod tests {
             eng.store(r, &ramp(16, r)).unwrap();
         }
         let batch = ramp_batch(16, 3);
-        assert_eq!(eng.serve(&batch).unwrap().backend, BackendKind::CompiledLut);
+        assert_eq!(eng.serve(&batch).unwrap().backend, BackendKind::Packed);
 
         // Drift a reference row out of margin: the next health probe
         // misses, the breaker (threshold 1) trips, repair re-programs the
@@ -1997,7 +2019,7 @@ mod tests {
                 .unwrap();
         }
         let outcome = eng.serve(&batch).unwrap();
-        assert_eq!(outcome.backend, BackendKind::CompiledLut);
+        assert_eq!(outcome.backend, BackendKind::Packed);
         assert_eq!(eng.stats().health_misses, 1);
         assert_eq!(eng.stats().repairs, 1);
         assert!(eng.array().check_references().unwrap());
@@ -2055,7 +2077,7 @@ mod tests {
         // Miss 3 trips the breaker: repair runs and serving is promoted.
         let outcome = eng.serve(&batch).unwrap();
         assert_eq!(eng.stats().repairs, 1);
-        assert_eq!(outcome.backend, BackendKind::CompiledLut);
+        assert_eq!(outcome.backend, BackendKind::Packed);
         assert_eq!(eng.stats().promotions, 1);
     }
 

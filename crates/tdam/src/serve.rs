@@ -1271,23 +1271,6 @@ const REPLY_ERROR: u8 = 2;
 const REPLY_STATS: u8 = 3;
 const REPLY_INFO: u8 = 4;
 
-fn backend_tag(b: BackendKind) -> u8 {
-    match b {
-        BackendKind::CompiledLut => 0,
-        BackendKind::Behavioral => 1,
-        BackendKind::DegradedMasked => 2,
-    }
-}
-
-fn backend_from_tag(t: u8) -> Result<BackendKind, ServeError> {
-    match t {
-        0 => Ok(BackendKind::CompiledLut),
-        1 => Ok(BackendKind::Behavioral),
-        2 => Ok(BackendKind::DegradedMasked),
-        _ => Err(ServeError::Protocol(format!("unknown backend tag {t}"))),
-    }
-}
-
 fn class_tag(c: ErrorClass) -> u8 {
     match c {
         ErrorClass::Transient => 0,
@@ -1543,7 +1526,7 @@ impl Reply {
                     w.put_usize(shard.rows);
                     w.put_bool(shard.down);
                     w.put_bool(shard.standby_ready);
-                    w.put_u8(backend_tag(shard.backend));
+                    w.put_u8(shard.backend.tag());
                     shard.stats.encode(&mut w);
                 }
                 w.put_bool(s.corpus.is_some());
@@ -1628,7 +1611,12 @@ impl Reply {
                         rows: r.get_usize().map_err(|_| truncated())?,
                         down: r.get_bool().map_err(|_| truncated())?,
                         standby_ready: r.get_bool().map_err(|_| truncated())?,
-                        backend: backend_from_tag(r.get_u8().map_err(|_| truncated())?)?,
+                        backend: {
+                            let t = r.get_u8().map_err(|_| truncated())?;
+                            BackendKind::from_tag(t).ok_or_else(|| {
+                                ServeError::Protocol(format!("unknown backend tag {t}"))
+                            })?
+                        },
                         stats: RuntimeStats::decode(&mut r).map_err(|_| truncated())?,
                     });
                 }
@@ -2764,6 +2752,65 @@ mod tests {
     }
 
     #[test]
+    fn backend_tags_are_pinned_on_the_wire_and_in_the_store() {
+        for (backend, tag) in [
+            (BackendKind::Packed, 0u8),
+            (BackendKind::Behavioral, 1),
+            (BackendKind::DegradedMasked, 2),
+        ] {
+            assert_eq!(backend.tag(), tag);
+            assert_eq!(BackendKind::from_tag(tag), Some(backend));
+        }
+        assert_eq!(BackendKind::from_tag(3), None);
+
+        // Store path: one tag byte, and an unknown tag is corruption.
+        let mut w = Writer::new();
+        BackendKind::Packed.encode(&mut w);
+        assert_eq!(w.into_bytes(), vec![0]);
+        assert!(matches!(
+            BackendKind::decode(&mut Reader::new(&[0])),
+            Ok(BackendKind::Packed)
+        ));
+        assert!(matches!(
+            BackendKind::decode(&mut Reader::new(&[3])),
+            Err(StoreError::Corrupt { .. })
+        ));
+
+        // Wire path: the Stats reply's shard backend byte is the only one
+        // that differs between two otherwise equal replies; tag 3 there is
+        // a protocol error.
+        let stats = |backend| {
+            Reply::Stats(Box::new(StatsReply {
+                front: FrontStats::default(),
+                service: ServiceStats::default(),
+                shards: vec![ShardStatus {
+                    base: 0,
+                    rows: 4,
+                    down: false,
+                    standby_ready: false,
+                    backend,
+                    stats: RuntimeStats::default(),
+                }],
+                corpus: None,
+            }))
+            .encode()
+        };
+        let packed = stats(BackendKind::Packed);
+        let degraded = stats(BackendKind::DegradedMasked);
+        let diff: Vec<usize> = (0..packed.len())
+            .filter(|&i| packed[i] != degraded[i])
+            .collect();
+        assert_eq!(diff.len(), 1);
+        assert_eq!((packed[diff[0]], degraded[diff[0]]), (0, 2));
+        let mut bad = packed;
+        bad[diff[0]] = 3;
+        assert!(matches!(
+            Reply::decode(&bad),
+            Err(ServeError::Protocol(msg)) if msg.contains("backend tag 3")
+        ));
+    }
+
+    #[test]
     fn reply_frames_round_trip() {
         let replies = vec![
             Reply::TopK(TopK {
@@ -2803,7 +2850,7 @@ mod tests {
                     rows: 24,
                     down: false,
                     standby_ready: true,
-                    backend: BackendKind::CompiledLut,
+                    backend: BackendKind::Packed,
                     stats: RuntimeStats::default(),
                 }],
                 corpus: None,

@@ -26,7 +26,7 @@
 //!   pre-checkpoint [`CompiledSnapshot`](crate::array::CompiledSnapshot)
 //!   is stale by construction — and the existing known-answer health
 //!   probes revalidate the array before promoting back to the
-//!   compiled-LUT path.
+//!   packed-kernel path.
 //! - **Crash chaos** — [`run_crash_chaos`] replays thousands of seeded
 //!   kill/corruption scenarios (a simulated kill at *every byte
 //!   boundary* of the commit sequence, bit flips, truncations) and
@@ -683,19 +683,10 @@ impl Codec for Lifetime {
 
 impl Codec for BackendKind {
     fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Self::CompiledLut => 0,
-            Self::Behavioral => 1,
-            Self::DegradedMasked => 2,
-        });
+        w.put_u8(self.tag());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        match r.get_u8()? {
-            0 => Ok(Self::CompiledLut),
-            1 => Ok(Self::Behavioral),
-            2 => Ok(Self::DegradedMasked),
-            _ => Err(corrupt("invalid backend tag")),
-        }
+        Self::from_tag(r.get_u8()?).ok_or_else(|| corrupt("invalid backend tag"))
     }
 }
 
@@ -1986,7 +1977,7 @@ impl ResilientEngine {
     /// ([`TdamError::StaleCompile`]). The engine starts on the
     /// [`BackendKind::Behavioral`] backend with a health probe due on
     /// the first serve: the known-answer probes must revalidate the
-    /// restored array before it promotes back to the compiled-LUT path.
+    /// restored array before it promotes back to the packed-kernel path.
     ///
     /// # Errors
     ///
@@ -3099,7 +3090,7 @@ mod tests {
         });
 
         for backend in [
-            BackendKind::CompiledLut,
+            BackendKind::Packed,
             BackendKind::Behavioral,
             BackendKind::DegradedMasked,
         ] {

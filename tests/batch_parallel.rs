@@ -54,6 +54,13 @@ fn ulp_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
 }
 
+/// The packed kernel's documented delay reconstruction bound for a
+/// `WIDTH`-stage chain: `2·(1.5·N + 2)·ε` relative (see `tdam::packed`).
+fn delay_close(a: f64, b: f64) -> bool {
+    let bound = 2.0 * (1.5 * WIDTH as f64 + 2.0) * f64::EPSILON;
+    (a - b).abs() <= bound * a.abs().max(b.abs())
+}
+
 /// The property itself: sequential loop first, batched second. `exact`
 /// engines are compared field-for-field with bitwise f64 equality;
 /// otherwise the decision is exact and the analog figures ulp-bounded.
@@ -144,36 +151,37 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
             .iter()
             .map(|q| TdamArray::search(&am, q).expect("reference search"))
             .collect();
-        let compiled = am.compile();
-        assert!(compiled.fully_compiled(), "nominal rows must all compile");
-        assert_eq!(compiled.packed_rows(), ROWS, "nominal rows must all pack");
+        let snap = am.compile_snapshot();
+        assert_eq!(snap.packed_rows(), ROWS, "nominal rows must all pack");
 
-        // The scalar LUT tier stays bit-identical to the behavioral model.
-        let lut = compiled
-            .search_batch_lut(&batch, Some(1))
-            .expect("LUT batch");
-        for (i, (got, want)) in lut.iter().zip(&reference).enumerate() {
-            assert_eq!(got, want, "LUT batch query {i} diverged (seed {seed:#x})");
-        }
-
-        // The packed tier: exact decision vs. the behavioral reference,
-        // and **bitwise** thread-count invariance against itself.
-        let packed_one = compiled.search_batch(&batch, Some(1)).expect("packed");
+        // The packed tier against the behavioral reference, under the
+        // packed contract: counts, decoded distances, winners and
+        // energies exact, delays within the reconstruction ulp bound; and
+        // **bitwise** thread-count invariance against itself.
+        let packed_one = snap.search_batch(&am, &batch, Some(1)).expect("packed");
         for (i, (got, want)) in packed_one.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                got.best_row(),
-                want.best_row(),
-                "packed winner {i} diverged (seed {seed:#x})"
-            );
-            assert_eq!(
-                got.decoded(),
-                want.decoded(),
-                "packed decode {i} diverged (seed {seed:#x})"
-            );
+            let ctx = format!("packed query {i} (seed {seed:#x})");
+            assert_eq!(got.best_row(), want.best_row(), "{ctx}: winner");
+            assert_eq!(got.decoded(), want.decoded(), "{ctx}: decode");
+            assert_eq!(got.energy, want.energy, "{ctx}: energy");
+            assert!(delay_close(got.latency, want.latency), "{ctx}: latency");
+            for (row, (p, r)) in got.rows.iter().zip(&want.rows).enumerate() {
+                assert_eq!(p.count, r.count, "{ctx} row {row}: TDC count");
+                assert_eq!(
+                    (p.chain.even_mismatches, p.chain.odd_mismatches),
+                    (r.chain.even_mismatches, r.chain.odd_mismatches),
+                    "{ctx} row {row}: counts"
+                );
+                assert_eq!(p.chain.energy, r.chain.energy, "{ctx} row {row}: energy");
+                assert!(
+                    delay_close(p.chain.total_delay, r.chain.total_delay),
+                    "{ctx} row {row}: delay"
+                );
+            }
         }
         // The decision-only tier: same exact decisions, bitwise
         // thread-count invariant (all-integer output).
-        let decide_one = compiled.decide_batch(&batch, Some(1)).expect("decide");
+        let decide_one = snap.decide_batch(&am, &batch, Some(1)).expect("decide");
         for (i, (got, want)) in decide_one.iter().zip(&reference).enumerate() {
             assert_eq!(
                 got.best_row,
@@ -188,9 +196,9 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
         }
 
         for threads in [Some(2), Some(5), None] {
-            let outcomes = compiled
-                .search_batch(&batch, threads)
-                .expect("compiled batch");
+            let outcomes = snap
+                .search_batch(&am, &batch, threads)
+                .expect("packed batch");
             for (i, (got, want)) in outcomes.iter().zip(&packed_one).enumerate() {
                 assert_eq!(
                     got, want,
@@ -199,7 +207,7 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
                 );
             }
             assert_eq!(
-                compiled.decide_batch(&batch, threads).expect("decide"),
+                snap.decide_batch(&am, &batch, threads).expect("decide"),
                 decide_one,
                 "decision batch not thread-count invariant \
                  (seed {seed:#x}, threads {threads:?})"

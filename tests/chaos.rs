@@ -149,7 +149,7 @@ fn healthy_runtime_is_bit_identical_to_the_bare_engine() {
     }
 
     let outcome = engine.serve(&batch).expect("serve");
-    assert_eq!(outcome.backend, BackendKind::CompiledLut);
+    assert_eq!(outcome.backend, BackendKind::Packed);
     assert_eq!(outcome.availability(), 1.0);
     for (i, slot) in outcome.slots.iter().enumerate() {
         let served = slot.ok().expect("answered");

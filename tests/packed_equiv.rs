@@ -10,6 +10,7 @@
 //! compiled tier.
 
 use fetdam::tdam::array::TdamArray;
+use fetdam::tdam::cell::Cell;
 use fetdam::tdam::config::ArrayConfig;
 use fetdam::tdam::encoding::Encoding;
 use fetdam::tdam::engine::{BatchQuery, SimilarityEngine};
@@ -58,9 +59,9 @@ fn packed_counts_winners_and_energies_match_behavioral() {
             let seed = 0x9ACC_ED00 ^ ((bits as u64) << 32) ^ stages as u64;
             let (am, mut rng) = seeded_array(bits, stages, ROWS, seed);
             let levels = 1u32 << bits;
-            let compiled = am.compile();
+            let snap = am.compile_snapshot();
             assert_eq!(
-                compiled.packed_rows(),
+                snap.packed_rows(),
                 ROWS,
                 "{bits}-bit {stages}-stage: all nominal rows pack"
             );
@@ -69,7 +70,7 @@ fn packed_counts_winners_and_energies_match_behavioral() {
                     .map(|_| rng.gen_range(0..levels) as u8)
                     .collect();
                 let reference = TdamArray::search(&am, &q).expect("behavioral");
-                let packed = compiled.search_packed(&q).expect("packed");
+                let packed = snap.search_packed(&am, &q).expect("packed");
                 let ctx = format!("{bits}-bit {stages}-stage seed {seed:#x}");
 
                 // The decision layer: exactly identical.
@@ -132,27 +133,27 @@ fn packed_batch_decisions_match_behavioral_for_any_thread_count() {
         .iter()
         .map(|q| TdamArray::search(&am, q).expect("behavioral"))
         .collect();
-    let compiled = am.compile();
-    let one = compiled.search_batch(&batch, Some(1)).expect("packed");
+    let snap = am.compile_snapshot();
+    let one = snap.search_batch(&am, &batch, Some(1)).expect("packed");
     for (i, (got, want)) in one.iter().zip(&reference).enumerate() {
         assert_eq!(got.best_row(), want.best_row(), "query {i}: winner");
         assert_eq!(got.decoded(), want.decoded(), "query {i}: decode");
     }
     // The decision-only path carries the same exactness, and is bitwise
     // thread-count invariant (it is all-integer output).
-    let decisions = compiled.decide_batch(&batch, Some(1)).expect("decide");
+    let decisions = snap.decide_batch(&am, &batch, Some(1)).expect("decide");
     for (i, (got, want)) in decisions.iter().zip(&reference).enumerate() {
         assert_eq!(got.best_row, want.best_row(), "decision {i}: winner");
         assert_eq!(got.distances, want.decoded(), "decision {i}: distances");
     }
     for threads in [Some(2), Some(3), Some(7), None] {
         assert_eq!(
-            compiled.search_batch(&batch, threads).expect("packed"),
+            snap.search_batch(&am, &batch, threads).expect("packed"),
             one,
             "thread-count invariance ({threads:?})"
         );
         assert_eq!(
-            compiled.decide_batch(&batch, threads).expect("decide"),
+            snap.decide_batch(&am, &batch, threads).expect("decide"),
             decisions,
             "decision thread-count invariance ({threads:?})"
         );
@@ -165,18 +166,16 @@ fn packed_batch_decisions_match_behavioral_for_any_thread_count() {
 fn perturbed_rows_fall_back_inside_packed_path() {
     let (mut am, mut rng) = seeded_array(2, 70, 5, 0xFA11_BACC);
     let cells = (0..70)
-        .map(|_| {
-            fetdam::tdam::cell::Cell::with_vth(1, am.config().encoding, 0.63, 1.02).expect("cell")
-        })
+        .map(|_| Cell::with_vth(1, am.config().encoding, 0.63, 1.02).expect("cell"))
         .collect();
     am.store_cells(2, cells).expect("store_cells");
-    let compiled = am.compile();
-    assert_eq!(compiled.packed_rows(), 4, "perturbed row must not pack");
+    let snap = am.compile_snapshot();
+    assert_eq!(snap.packed_rows(), 4, "perturbed row must not pack");
     let mut batch = BatchQuery::new(70);
     for _ in 0..6 {
         let q: Vec<u8> = (0..70).map(|_| rng.gen_range(0..4u32) as u8).collect();
         let reference = TdamArray::search(&am, &q).expect("behavioral");
-        let packed = compiled.search_packed(&q).expect("packed");
+        let packed = snap.search_packed(&am, &q).expect("packed");
         assert_eq!(packed.best_row(), reference.best_row());
         assert_eq!(packed.decoded(), reference.decoded());
         // The fallback row is served by the same behavioral arithmetic:
@@ -186,8 +185,8 @@ fn perturbed_rows_fall_back_inside_packed_path() {
     }
     // The decision-only path routes the perturbed row through the same
     // behavioral fallback.
-    for (decision, q) in compiled
-        .decide_batch(&batch, Some(1))
+    for (decision, q) in snap
+        .decide_batch(&am, &batch, Some(1))
         .expect("decide")
         .iter()
         .zip(batch.iter())
@@ -215,20 +214,20 @@ fn dispatch_ladder_rungs_are_bit_identical_across_thread_counts() {
         let q: Vec<u8> = (0..STAGES).map(|_| rng.gen_range(0..8u32) as u8).collect();
         batch.push(&q).expect("push");
     }
-    let mut compiled = am.compile();
+    let mut snap = am.compile_snapshot();
     assert!(
-        compiled.force_kernel(PackedKernel::Scalar),
+        snap.force_kernel(PackedKernel::Scalar),
         "the scalar rung is always available"
     );
-    let outcomes = compiled.search_batch(&batch, Some(1)).expect("search");
-    let decisions = compiled.decide_batch(&batch, Some(1)).expect("decide");
+    let outcomes = snap.search_batch(&am, &batch, Some(1)).expect("search");
+    let decisions = snap.decide_batch(&am, &batch, Some(1)).expect("decide");
     for (i, (got, q)) in outcomes.iter().zip(batch.iter()).enumerate() {
         let want = TdamArray::search(&am, q).expect("behavioral");
         assert_eq!(got.best_row(), want.best_row(), "scalar query {i}: winner");
         assert_eq!(got.decoded(), want.decoded(), "scalar query {i}: decode");
     }
     for rung in [PackedKernel::Unrolled, PackedKernel::Simd] {
-        if !compiled.force_kernel(rung) {
+        if !snap.force_kernel(rung) {
             // Only the SIMD rung may be absent (feature off, or no wide
             // CPU path); a refused force must leave the ladder serving.
             assert_eq!(rung, PackedKernel::Simd, "unrolled is always available");
@@ -236,12 +235,12 @@ fn dispatch_ladder_rungs_are_bit_identical_across_thread_counts() {
         }
         for threads in [Some(1), Some(3), None] {
             assert_eq!(
-                compiled.search_batch(&batch, threads).expect("search"),
+                snap.search_batch(&am, &batch, threads).expect("search"),
                 outcomes,
                 "{rung:?} ({threads:?}): outcomes must be bit-identical to scalar"
             );
             assert_eq!(
-                compiled.decide_batch(&batch, threads).expect("decide"),
+                snap.decide_batch(&am, &batch, threads).expect("decide"),
                 decisions,
                 "{rung:?} ({threads:?}): decisions must be bit-identical to scalar"
             );
@@ -310,14 +309,29 @@ fn incrementally_repacked_snapshots_match_recompile_on_every_rung() {
         // A random write sequence: repeated rewrites, including rows hit
         // more than once, interleaved across three refresh rounds so the
         // snapshot is surgically patched from several distinct baselines.
+        // Every third write is variation-perturbed, so rows move between
+        // the kernel and the behavioral fallback.
+        let encoding = am.config().encoding;
         for round in 0..3 {
             let mut touched = std::collections::BTreeSet::new();
-            for _ in 0..6 {
+            for k in 0..6 {
                 let row = rng.gen_range(0..ROWS);
                 let values: Vec<u8> = (0..STAGES)
                     .map(|_| rng.gen_range(0..levels) as u8)
                     .collect();
-                am.store(row, &values).expect("store");
+                if k % 3 == 2 {
+                    let cells = values
+                        .iter()
+                        .map(|&v| {
+                            let (a, b) = Cell::new(v, encoding)?.vth_actual();
+                            Cell::with_vth(v, encoding, a + 0.03, b + 0.02)
+                        })
+                        .collect::<Result<_, _>>()
+                        .expect("cells");
+                    am.store_cells(row, cells).expect("store_cells");
+                } else {
+                    am.store(row, &values).expect("store");
+                }
                 touched.insert(row);
             }
             let repacked = snap.refresh_rows(&am, touched.iter().copied());
@@ -329,6 +343,8 @@ fn incrementally_repacked_snapshots_match_recompile_on_every_rung() {
         }
 
         let mut fresh = am.compile_snapshot();
+        assert_eq!(snap.packed_rows(), fresh.packed_rows());
+        assert!(fresh.packed_rows() < ROWS, "some rows use the fallback");
         let mut batch = BatchQuery::new(STAGES);
         for _ in 0..11 {
             let q: Vec<u8> = (0..STAGES)
@@ -410,7 +426,7 @@ fn masked_columns_serve_packed_with_identical_corrected_decode() {
 
     // Unmasked packing refuses the faulted rows; the masked view packs
     // every row again.
-    let unmasked = ra.array().compile().packed_rows();
+    let unmasked = ra.array().compile_snapshot().packed_rows();
     assert_eq!(unmasked, 0, "stuck column poisons every physical row");
     let packed = ra.packed_view();
     let mut scratch = packed.scratch();
@@ -508,7 +524,7 @@ fn resilient_engine_serves_packed_through_checkpoint_restore() {
     }
 
     let before = engine.serve(&batch).expect("serve before checkpoint");
-    assert_eq!(before.backend, BackendKind::CompiledLut);
+    assert_eq!(before.backend, BackendKind::Packed);
     let state = engine.checkpoint();
 
     let mut restored = ResilientEngine::restore(&state, RuntimeConfig::default()).expect("restore");
@@ -519,7 +535,7 @@ fn resilient_engine_serves_packed_through_checkpoint_restore() {
     let second = restored.serve(&batch).expect("second serve after restore");
     assert_eq!(
         second.backend,
-        BackendKind::CompiledLut,
+        BackendKind::Packed,
         "restored engine must re-promote to the packed compiled tier"
     );
     assert_eq!(second.best_rows(), before.best_rows());

@@ -99,8 +99,8 @@ fn clean_checkpoint_restore_is_bit_identical() {
     // The acceptance pin: slot-for-slot identical answers.
     assert_eq!(before.slots, after.slots);
     // The warm start revalidated through the known-answer probes and
-    // promoted back to compiled-LUT serving.
-    assert_eq!(recovered.engine().backend(), BackendKind::CompiledLut);
+    // promoted back to packed-kernel serving.
+    assert_eq!(recovered.engine().backend(), BackendKind::Packed);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -205,7 +205,7 @@ fn restore_invalidates_stale_compiled_snapshots() {
     // The restore bumped the generation counter past the snapshot's.
     assert!(!snapshot.is_fresh(restored.array().array()));
     assert!(matches!(
-        snapshot.search(restored.array().array(), &stored[0]),
+        snapshot.search_packed(restored.array().array(), &stored[0]),
         Err(TdamError::StaleCompile { .. })
     ));
 }
