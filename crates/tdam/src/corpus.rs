@@ -26,8 +26,10 @@
 //!    4096-row shards this is a 245-row scan — noise next to brute
 //!    force's 1M.
 //! 3. **Re-rank** — surviving shards are scanned *exactly* on per-shard
-//!    packed snapshots built by [`PackedArray::from_codes`]; decoded
-//!    distances and `(distance, id)` tie-breaking are bit-identical to
+//!    packed snapshots built by [`PackedArray::from_codes`], and every
+//!    decoded distance streams into one bounded top-`k` select (no
+//!    candidate list, no sort); distances and `(distance, id)`
+//!    tie-breaking are bit-identical to
 //!    [`crate::serve::brute_force_topk`] restricted to the probed
 //!    shards (pinned by `tests/corpus.rs` across every kernel rung).
 //!
@@ -89,7 +91,7 @@ use crate::runtime::RuntimeStats;
 use crate::tdc::CounterTdc;
 use crate::timing::StageTiming;
 use crate::TdamError;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Preference-list length of the capacity-balanced placement: each row
 /// ranks its nearest `min(k, PREFERRED)` centroids and takes the first
@@ -113,6 +115,64 @@ fn splitmix(mut x: u64) -> u64 {
 /// what guarantees bit-identical recompiles after eviction.
 fn capacity_for(len: usize) -> usize {
     len.div_ceil(64).max(1) * 64
+}
+
+/// Bounded k-smallest selection over `(distance, id)` pairs — the
+/// digital form of the TD-AM deciding a search by which delay chains
+/// finish first. A max-heap keeps at most `k` pairs and caches its
+/// worst distance, so a candidate farther than that is dropped with
+/// one integer compare and only a contender touches the heap. Full
+/// tuple order breaks ties (the lower id wins an equal distance), so
+/// the answer ranks exactly as [`crate::serve::brute_force_topk`]
+/// ranks it, whatever order the candidates arrive in.
+///
+/// The heap grows with what it keeps, never with `k` itself: `k`
+/// arrives off the wire as a `u32`, and sizing by it would let one
+/// request ask for tens of GiB.
+#[derive(Debug)]
+pub(crate) struct TopKSelect {
+    k: usize,
+    heap: BinaryHeap<(usize, usize)>,
+    /// Worst kept distance once `k` pairs are kept, `usize::MAX` before.
+    bound: usize,
+}
+
+impl TopKSelect {
+    /// An empty selector for the `k` smallest pairs.
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            k,
+            heap: BinaryHeap::new(),
+            bound: usize::MAX,
+        }
+    }
+
+    /// Offers one candidate.
+    #[inline]
+    pub(crate) fn push(&mut self, distance: usize, id: usize) {
+        if distance <= self.bound {
+            self.admit((distance, id));
+        }
+    }
+
+    fn admit(&mut self, cand: (usize, usize)) {
+        if self.heap.len() < self.k {
+            self.heap.push(cand);
+        } else {
+            match self.heap.peek_mut() {
+                Some(mut worst) if cand < *worst => *worst = cand,
+                _ => return,
+            }
+        }
+        if self.heap.len() == self.k {
+            self.bound = self.heap.peek().map_or(usize::MAX, |w| w.0);
+        }
+    }
+
+    /// The kept pairs, ascending.
+    pub(crate) fn into_sorted(self) -> Vec<(usize, usize)> {
+        self.heap.into_sorted_vec()
+    }
 }
 
 /// Answers of a probed search: exact `(distance, id)` pairs sorted
@@ -412,6 +472,7 @@ impl CorpusBuilder {
         }
 
         let centroid_scratch = centroid_packed.scratch();
+        let rerank_scratch = centroid_packed.scratch();
         Ok(CorpusEngine {
             cfg,
             encoding,
@@ -421,10 +482,11 @@ impl CorpusBuilder {
             centroids,
             centroid_packed,
             centroid_scratch,
+            rerank_scratch,
             clusters,
             locate,
             resident: HashMap::new(),
-            lru: Vec::new(),
+            tick: 0,
             resident_bytes: 0,
             kernel_pin: None,
             stats: RuntimeStats::default(),
@@ -479,12 +541,14 @@ impl ClusterData {
 
 /// One resident shard snapshot: the packed view (padded to
 /// [`capacity_for`] the shard's length with all-zero rows whose slots
-/// are never consumed) plus its per-query scratch.
+/// are never consumed) plus its recency tick.
 #[derive(Debug)]
 struct Resident {
     packed: PackedArray,
-    scratch: PackedScratch,
     capacity: usize,
+    /// Value of the engine's recency clock at this shard's last
+    /// compile or cache hit; the minimum is the least recently used.
+    tick: u64,
 }
 
 /// Cache/placement counters and geometry of a [`CorpusEngine`], the
@@ -522,12 +586,16 @@ pub struct CorpusEngine {
     /// The coarse tier: one packed array holding every centroid.
     centroid_packed: PackedArray,
     centroid_scratch: PackedScratch,
+    /// The one re-rank scratch every probed shard expands and counts
+    /// into ([`PackedScratch::fit`] grows it to the tallest snapshot),
+    /// so its count buffers stay cache-hot across shards.
+    rerank_scratch: PackedScratch,
     clusters: Vec<ClusterData>,
     /// id → (cluster, slot).
     locate: Vec<(u32, u32)>,
     resident: HashMap<usize, Resident>,
-    /// Recency order of resident shards, front = hottest.
-    lru: Vec<usize>,
+    /// Recency clock: bumped on every cache hit and compile.
+    tick: u64,
     resident_bytes: usize,
     /// Forced dispatch-ladder rung for every packed view (`None` =
     /// auto-detect; see [`CorpusEngine::set_kernel`]).
@@ -671,30 +739,46 @@ impl CorpusEngine {
     /// As [`CorpusEngine::probe`].
     pub fn search_topk_probed(&mut self, query: &[u8], k: usize) -> Result<ProbedTopK, TdamError> {
         let probed = self.probe(query)?;
-        let mut candidates = Vec::new();
+        let mut select = TopKSelect::new(k);
         for &c in &probed {
-            self.scan_shard(c, query, &mut candidates);
+            self.scan_shard(c, query, &mut select);
         }
-        candidates.sort_unstable();
-        candidates.truncate(k);
         self.stats.queries += 1;
         self.stats.answered += 1;
-        Ok((candidates, probed))
+        Ok((select.into_sorted(), probed))
     }
 
-    /// Exact decoded distances of one shard against `query`, appended
-    /// to `out` as `(distance, id)` pairs. The shard is made resident
-    /// first (cache hit or bit-identical recompile).
-    pub(crate) fn scan_shard(&mut self, c: usize, query: &[u8], out: &mut Vec<(usize, usize)>) {
+    /// Offers every row of shard `c` to `select` as its exact
+    /// `(distance, id)` pair against `query`.
+    pub(crate) fn scan_shard(&mut self, c: usize, query: &[u8], select: &mut TopKSelect) {
+        self.walk_shard(c, query, |packed, e, o, id| {
+            select.push(packed.decoded(e, o), id);
+        });
+    }
+
+    /// The one slot walk: makes shard `c` resident (cache hit or
+    /// bit-identical recompile), counts `query` against it in the
+    /// shared re-rank scratch, and hands `visit` each slot's snapshot,
+    /// `(even, odd)` mismatch counts and engine-global id.
+    fn walk_shard(
+        &mut self,
+        c: usize,
+        query: &[u8],
+        mut visit: impl FnMut(&PackedArray, usize, usize, usize),
+    ) {
         self.ensure_resident(c);
-        let len = self.clusters[c].len();
-        let ent = self.resident.get_mut(&c).expect("shard just made resident");
-        ent.packed.expand_query(query, &mut ent.scratch);
-        ent.packed.mismatch_counts(&mut ent.scratch);
-        for slot in 0..len {
-            let (e, o) = ent.packed.counts(&ent.scratch, 0, slot);
-            let d = ent.packed.decoded(e, o);
-            out.push((d, self.clusters[c].ids[slot] as usize));
+        let packed = &self
+            .resident
+            .get(&c)
+            .expect("shard just made resident")
+            .packed;
+        let scratch = &mut self.rerank_scratch;
+        scratch.fit(packed);
+        packed.expand_query(query, scratch);
+        packed.mismatch_counts(scratch);
+        for (slot, &id) in self.clusters[c].ids.iter().enumerate() {
+            let (e, o) = packed.counts(scratch, 0, slot);
+            visit(packed, e, o, id as usize);
         }
     }
 
@@ -704,12 +788,10 @@ impl CorpusEngine {
     /// until the cache is back under budget. The just-compiled snapshot
     /// is never evicted, so a single over-budget shard still serves.
     fn ensure_resident(&mut self, c: usize) {
-        if self.resident.contains_key(&c) {
+        self.tick += 1;
+        if let Some(ent) = self.resident.get_mut(&c) {
             self.stats.corpus_cache_hits += 1;
-            if self.lru.first() != Some(&c) {
-                self.lru.retain(|&x| x != c);
-                self.lru.insert(0, c);
-            }
+            ent.tick = self.tick;
             return;
         }
         self.stats.corpus_cache_misses += 1;
@@ -724,21 +806,25 @@ impl CorpusEngine {
             packed.set_kernel(kernel);
         }
         self.stats.corpus_compile_micros += self.clock.elapsed(t0).as_micros() as usize;
-        let scratch = packed.scratch();
         self.resident_bytes += packed.resident_bytes();
         self.resident.insert(
             c,
             Resident {
                 packed,
-                scratch,
                 capacity,
+                tick: self.tick,
             },
         );
-        self.lru.insert(0, c);
-        while self.resident_bytes > self.cfg.cache_budget_bytes && self.lru.len() > 1 {
-            let victim = self.lru.pop().expect("lru non-empty");
-            let gone = self.resident.remove(&victim).expect("lru tracks residents");
-            self.resident_bytes -= gone.packed.resident_bytes();
+        // The just-compiled shard holds the newest tick, so it is never
+        // the minimum while another shard is resident.
+        while self.resident_bytes > self.cfg.cache_budget_bytes && self.resident.len() > 1 {
+            let victim = self
+                .resident
+                .iter()
+                .min_by_key(|(_, ent)| ent.tick)
+                .map(|(&victim, _)| victim)
+                .expect("more than one shard resident");
+            self.drop_resident(victim);
             self.stats.corpus_cache_evictions += 1;
         }
     }
@@ -748,7 +834,6 @@ impl CorpusEngine {
     fn drop_resident(&mut self, c: usize) {
         if let Some(gone) = self.resident.remove(&c) {
             self.resident_bytes -= gone.packed.resident_bytes();
-            self.lru.retain(|&x| x != c);
         }
     }
 
@@ -913,6 +998,7 @@ impl CorpusEngine {
         let tdc = CounterTdc::matched(&timing)?;
         let centroid_packed = PackedArray::from_codes(encoding, stages, &timing, &tdc, &centroids);
         let centroid_scratch = centroid_packed.scratch();
+        let rerank_scratch = centroid_packed.scratch();
         Ok(Self {
             cfg,
             encoding,
@@ -922,10 +1008,11 @@ impl CorpusEngine {
             centroids,
             centroid_packed,
             centroid_scratch,
+            rerank_scratch,
             clusters,
             locate,
             resident: HashMap::new(),
-            lru: Vec::new(),
+            tick: 0,
             resident_bytes: 0,
             kernel_pin: None,
             stats,
@@ -991,23 +1078,16 @@ impl SimilarityEngine for CorpusEngine {
         let mut best: Option<(usize, usize)> = None;
         let mut shard_delay = 0.0f64;
         for &c in &probed {
-            self.ensure_resident(c);
-            let len = self.clusters[c].len();
-            let ent = self.resident.get_mut(&c).expect("shard just made resident");
-            ent.packed.expand_query(query, &mut ent.scratch);
-            ent.packed.mismatch_counts(&mut ent.scratch);
-            for slot in 0..len {
-                let (e, o) = ent.packed.counts(&ent.scratch, 0, slot);
-                let (row, tdc_energy) = ent.packed.digitize(e, o);
+            self.walk_shard(c, query, |packed, e, o, id| {
+                let (row, tdc_energy) = packed.digitize(e, o);
                 energy += row.chain.energy.total() + tdc_energy;
                 shard_delay = shard_delay.max(row.chain.total_delay);
-                let id = self.clusters[c].ids[slot] as usize;
                 distances[id] = Some(row.decoded_mismatches);
                 let cand = (row.decoded_mismatches, id);
                 if best.is_none_or(|b| cand < b) {
                     best = Some(cand);
                 }
-            }
+            });
         }
         latency += shard_delay;
         self.stats.queries += 1;
@@ -1209,6 +1289,46 @@ mod tests {
             "tiny budget keeps at most the hot shard"
         );
         let _ = hits0;
+    }
+
+    /// A budget of three and a half snapshots under interleaved
+    /// queries, updates and appends: the counters and the surviving
+    /// shards pin the least-recently-used victim order exactly.
+    #[test]
+    fn lru_evicts_least_recently_used_first() {
+        let mut cfg = small_cfg();
+        let rows = clustered_corpus(&cfg, 320, 10, 10, 0x1F);
+        let build = |cfg: CorpusConfig| {
+            let mut b = CorpusBuilder::new(cfg).unwrap();
+            b.append_rows(&rows).unwrap();
+            b.build().unwrap()
+        };
+        let mut one = build(cfg);
+        one.search_topk(&rows[0], 1).unwrap();
+        let snapshot = one.status().resident_bytes / one.status().resident;
+        cfg.cache_budget_bytes = 3 * snapshot + snapshot / 2;
+        let mut eng = build(cfg);
+        for id in (0..320).step_by(7) {
+            eng.search_topk(&rows[id], 10).unwrap();
+            if id % 21 == 0 {
+                eng.update_row(id, &rows[(id + 5) % 320]).unwrap();
+            }
+            if id % 49 == 0 {
+                eng.append_row(&rows[(id * 3) % 320]).unwrap();
+            }
+        }
+        let s = eng.stats();
+        assert_eq!(
+            (
+                s.corpus_cache_hits,
+                s.corpus_cache_misses,
+                s.corpus_cache_evictions
+            ),
+            (30, 108, 105)
+        );
+        let mut resident: Vec<usize> = eng.resident.keys().copied().collect();
+        resident.sort_unstable();
+        assert_eq!(resident, [1, 4, 9]);
     }
 
     #[test]

@@ -289,6 +289,23 @@ impl PackedScratch {
     pub fn filled(&self) -> usize {
         self.filled
     }
+
+    /// Grows this scratch (it never shrinks) so that a full tile of its
+    /// [`capacity`](PackedScratch::capacity) fits `array`'s query planes
+    /// and per-row counts. One scratch can then serve several packed
+    /// arrays of one row width but different heights, as the corpus
+    /// tier's re-rank does across its shard snapshots.
+    pub(crate) fn fit(&mut self, array: &PackedArray) {
+        let planes = self.capacity * array.bits * array.words;
+        if self.q_planes.len() < planes {
+            self.q_planes.resize(planes, 0);
+        }
+        let counts = self.capacity * array.rows_pad;
+        if self.even.len() < counts {
+            self.even.resize(counts, 0);
+            self.odd.resize(counts, 0);
+        }
+    }
 }
 
 /// One query's digitized decision: the view the hardware exports off-array

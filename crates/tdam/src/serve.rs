@@ -54,7 +54,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::clock::{Clock, Timestamp};
 use crate::config::ArrayConfig;
-use crate::corpus::{ClusterData, CorpusConfig, CorpusEngine, CorpusTierStatus};
+use crate::corpus::{ClusterData, CorpusConfig, CorpusEngine, CorpusTierStatus, TopKSelect};
 use crate::engine::BatchQuery;
 use crate::resilience::{DegradationLevel, ResilienceConfig};
 use crate::runtime::{
@@ -956,7 +956,7 @@ impl ShardedService {
 
         let mut batch = BatchQuery::new(self.stages);
         batch.push(query).map_err(ServeError::Sim)?;
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
+        let mut select = TopKSelect::new(k);
         let mut partial = false;
         let mut degraded = false;
         let mut shards_answered = 0usize;
@@ -976,7 +976,7 @@ impl ShardedService {
                     // `degraded` (ideal-code answers bypass the shard's
                     // device-level state), never silently dropped.
                     drop(st);
-                    lock(tier).scan_shard(s, query, &mut candidates);
+                    lock(tier).scan_shard(s, query, &mut select);
                     shards_answered += 1;
                     degraded = true;
                     continue;
@@ -1021,7 +1021,7 @@ impl ShardedService {
                             || outcome.backend == BackendKind::DegradedMasked;
                         for (local, dist) in m.distances.iter().enumerate() {
                             if let Some(d) = dist {
-                                candidates.push((*d, shard.base + local));
+                                select.push(*d, shard.base + local);
                             } else {
                                 // A row excluded from ranking (dead or
                                 // unreadable) is a fidelity loss.
@@ -1065,8 +1065,6 @@ impl ShardedService {
                 Err(ServeError::Unavailable)
             };
         }
-        candidates.sort_unstable();
-        candidates.truncate(k);
         let mut stats = lock(&self.stats);
         stats.requests += 1;
         if partial {
@@ -1080,7 +1078,7 @@ impl ShardedService {
         }
         drop(stats);
         Ok(TopK {
-            neighbors: candidates,
+            neighbors: select.into_sorted(),
             partial,
             degraded,
             shards_answered,

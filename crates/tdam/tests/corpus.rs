@@ -1,6 +1,7 @@
 //! Integration pins for the two-tier corpus engine: the recall gate on
 //! a CI-sized clustered corpus, LRU-eviction bit-identity, kernel-rung
-//! equivalence of the exact re-rank tier, and the serve stats endpoint
+//! equivalence of the exact re-rank tier and its top-k select (ties,
+//! edge-case `k`, post-build writes), and the serve stats endpoint
 //! surfacing the snapshot-cache counters.
 //!
 //! The full-sized (1M-row) versions of the recall and speedup gates
@@ -16,7 +17,7 @@ use tdam::packed::PackedKernel;
 use tdam::serve::{
     brute_force_topk, seeded_corpus, FrontEnd, ServeClient, ServeConfig, ShardedService,
 };
-use tdam::ArrayConfig;
+use tdam::{ArrayConfig, Encoding};
 
 /// SplitMix64 finalizer — the repo-wide seeding discipline.
 fn splitmix(mut x: u64) -> u64 {
@@ -168,9 +169,89 @@ fn evicted_shards_recompile_bit_identically() {
     );
 }
 
+/// Edits applied to an engine (and to the test's oracle copy of the
+/// corpus) before any answer is checked.
+enum Write {
+    Append(Vec<u8>),
+    Update(usize, Vec<u8>),
+}
+
+/// Builds `cfg` over `corpus` once per available dispatch-ladder rung,
+/// warms the probed shards, applies `writes`, then asks every query at
+/// every `k` of the selector's edge cases: none, one, a handful, more
+/// than the probed rows hold, and `usize::MAX`. Every answer must equal
+/// brute force restricted to the probed shards exactly, and every rung
+/// must answer what the first rung answered.
+fn assert_rerank_matches_restricted_brute_force(
+    cfg: CorpusConfig,
+    corpus: &[Vec<u8>],
+    writes: &[Write],
+    queries: &[Vec<u8>],
+) {
+    let rungs = [
+        PackedKernel::Scalar,
+        PackedKernel::Unrolled,
+        PackedKernel::Simd,
+    ];
+    let mut reference: Option<Vec<ProbedTopK>> = None;
+    for rung in rungs {
+        if !rung.is_available() {
+            continue;
+        }
+        let mut engine = build_engine(cfg, corpus);
+        assert!(engine.set_kernel(rung), "{rung:?} reported available");
+        // Resident snapshots take the writes as surgical repacks; cold
+        // shards take them at their next compile.
+        for q in queries {
+            engine.search_topk(q, 1).expect("warm-up search");
+        }
+        let mut rows = corpus.to_vec();
+        for write in writes {
+            match write {
+                Write::Append(v) => {
+                    assert_eq!(engine.append_row(v).expect("append"), rows.len());
+                    rows.push(v.clone());
+                }
+                Write::Update(id, v) => {
+                    engine.update_row(*id, v).expect("update");
+                    rows[*id] = v.clone();
+                }
+            }
+        }
+        let mut answers = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let (_, probed) = engine.search_topk_probed(q, 0).expect("probe");
+            let mut ranked = Vec::new();
+            for &c in &probed {
+                for &id in engine.shard_ids(c) {
+                    let id = id as usize;
+                    let d = cfg.array.encoding.hamming(&rows[id], q).expect("oracle");
+                    ranked.push((d, id));
+                }
+            }
+            ranked.sort_unstable();
+            for k in [0, 1, 8, ranked.len() + 5, usize::MAX] {
+                let got = engine.search_topk_probed(q, k).expect("search");
+                assert_eq!(got.1, probed, "{rung:?} query {i}: probe order moved");
+                assert_eq!(
+                    got.0,
+                    ranked[..k.min(ranked.len())],
+                    "{rung:?} query {i} k={k}: re-rank diverged from restricted brute force"
+                );
+                answers.push(got);
+            }
+        }
+        match &reference {
+            None => reference = Some(answers),
+            Some(r) => assert_eq!(&answers, r, "{rung:?} diverged from the first rung"),
+        }
+    }
+    assert!(reference.is_some(), "no kernel rung available");
+}
+
 /// The exact re-rank tier is bit-identical across all available
 /// dispatch-ladder rungs, and every rung matches brute force restricted
-/// to the probed shards — the ISSUE's equivalence contract.
+/// to the probed shards — the tier's equivalence contract.
 #[test]
 fn rerank_matches_restricted_brute_force_on_every_kernel_rung() {
     let stages = 16;
@@ -188,45 +269,48 @@ fn rerank_matches_restricted_brute_force_on_every_kernel_rung() {
         seed: 5,
         threads: Some(2),
     };
+    let queries: Vec<Vec<u8>> = (0..16u64)
+        .map(|i| perturbed_query(&corpus, levels, 0xF00D, i))
+        .collect();
+    assert_rerank_matches_restricted_brute_force(cfg, &corpus, &[], &queries);
+}
 
-    let rungs = [
-        PackedKernel::Scalar,
-        PackedKernel::Unrolled,
-        PackedKernel::Simd,
-    ];
-    let mut reference: Option<Vec<ProbedTopK>> = None;
-    for rung in rungs {
-        if !rung.is_available() {
-            continue;
-        }
-        let mut engine = build_engine(cfg, &corpus);
-        assert!(engine.set_kernel(rung), "{rung:?} reported available");
-        let mut answers = Vec::new();
-        for i in 0..16u64 {
-            let q = perturbed_query(&corpus, levels, 0xF00D, i);
-            let (got, probed) = engine.search_topk_probed(&q, 8).expect("search");
-            let mut expected = Vec::new();
-            for &c in &probed {
-                for &id in engine.shard_ids(c) {
-                    let id = id as usize;
-                    let d = array.encoding.hamming(&corpus[id], &q).expect("oracle");
-                    expected.push((d, id));
-                }
-            }
-            expected.sort_unstable();
-            expected.truncate(8);
-            assert_eq!(
-                got, expected,
-                "{rung:?} query {i}: re-rank diverged from restricted brute force"
-            );
-            answers.push((got, probed));
-        }
-        match &reference {
-            None => reference = Some(answers),
-            Some(r) => assert_eq!(&answers, r, "{rung:?} diverged from the first rung"),
-        }
+/// Ties everywhere: 1-bit codes over 8 stages leave only nine distinct
+/// distances for 2k rows, so every `k` boundary falls inside a run of
+/// equal distances and the id tie-break decides the answer. Appends
+/// join whichever shard their centroid picks, so the probed shards
+/// offer their ids out of ascending order, and updates move rows'
+/// distances after their shards were compiled.
+#[test]
+fn rerank_breaks_ties_like_brute_force_after_appends_and_updates() {
+    let stages = 8;
+    let array = ArrayConfig::paper_default()
+        .with_stages(stages)
+        .with_encoding(Encoding::new(1).expect("1-bit encoding"));
+    let corpus = clustered(2048, stages, 6, 20, 2, 0x71E5);
+    let cfg = CorpusConfig {
+        array,
+        shard_rows: 128,
+        nprobe: 3,
+        train_iters: 2,
+        train_sample: 512,
+        cache_budget_bytes: 8 << 20,
+        seed: 11,
+        threads: Some(2),
+    };
+    let extra = clustered(96, stages, 6, 20, 2, 0xADD5);
+    let mut writes: Vec<Write> = extra.into_iter().map(Write::Append).collect();
+    for i in 0..64u64 {
+        let h = splitmix(0xDA7E ^ i);
+        let v = (0..stages)
+            .map(|j| (splitmix(h ^ j as u64) & 1) as u8)
+            .collect();
+        writes.push(Write::Update((h % 2048) as usize, v));
     }
-    assert!(reference.is_some(), "no kernel rung available");
+    let queries: Vec<Vec<u8>> = (0..12u64)
+        .map(|i| perturbed_query(&corpus, 2, 0x7135, i))
+        .collect();
+    assert_rerank_matches_restricted_brute_force(cfg, &corpus, &writes, &queries);
 }
 
 /// The serve stats endpoint surfaces the corpus tier's snapshot-cache

@@ -313,6 +313,59 @@ fn tcp_round_trip_serves_exact_topk_stats_and_info() {
     front.shutdown();
 }
 
+/// `k` arrives off the wire as a `u32`: the largest one asks for the
+/// whole corpus, ranked. The merge must keep no more than it has seen —
+/// a selector sized by `k` would ask for tens of GiB and abort the
+/// server instead of answering.
+#[test]
+fn wire_query_with_max_k_ranks_the_whole_corpus() {
+    let corpus = test_corpus(30);
+    let cfg = test_config(10);
+    let service = Arc::new(ShardedService::new(&cfg, &corpus, None).expect("service"));
+    let mut front = FrontEnd::start(Arc::clone(&service), &cfg, "127.0.0.1:0").expect("front-end");
+    let encoding = ArrayConfig::paper_default().encoding;
+    let mut client = ServeClient::connect(front.addr()).expect("connect");
+    for q in &seeded_corpus(3, 16, 4, 13) {
+        let got = client.query(q, u32::MAX as usize, GENEROUS).expect("query");
+        assert!(got.complete());
+        let want = brute_force_topk(&corpus, encoding, q, usize::MAX).expect("brute force");
+        assert_eq!(want.len(), corpus.len());
+        assert_eq!(got.neighbors, want, "k = u32::MAX ranks every row");
+    }
+    front.shutdown();
+}
+
+/// With the corpus tier installed, a probed shard that is down is
+/// answered from the tier's snapshot cache, and those answers merge
+/// with the healthy shards' through the same selector. Every shard is
+/// probed here, so the restriction is the whole corpus and the
+/// degraded answer must equal brute force at every `k`.
+#[test]
+fn corpus_tier_merges_a_down_shards_rerank_into_the_degraded_answer() {
+    let corpus = test_corpus(40);
+    let encoding = ArrayConfig::paper_default().encoding;
+    let mut service = ShardedService::new(&test_config(10), &corpus, None).expect("service");
+    service
+        .install_corpus_tier(service.map().shards(), 64 << 20)
+        .expect("corpus tier");
+    service.inject_crash(2);
+    for q in &seeded_corpus(6, 16, 4, 29) {
+        for k in [0, 1, 7, 40, usize::MAX] {
+            let got = service.search_topk(q, k, GENEROUS).expect("search");
+            assert!(got.degraded && !got.partial, "tier-served, never partial");
+            assert_eq!(got.shards_answered, service.map().shards());
+            let want = brute_force_topk(&corpus, encoding, q, k).expect("brute force");
+            assert_eq!(got.neighbors, want, "k={k}: merged answer diverged");
+        }
+    }
+    let tier = service.corpus_status().expect("tier installed");
+    assert!(
+        tier.stats.corpus_cache_misses > 0,
+        "down shard was re-ranked"
+    );
+    assert!(service.is_down(2));
+}
+
 /// Sequential round trips must not wait out a delayed ACK (40 ms
 /// minimum on Linux): a frame split over two writes, or a socket left
 /// with Nagle on, puts that stall under every request or reply.
