@@ -20,12 +20,6 @@
 //! SIMD rung when built with `--features simd` on a capable CPU. All
 //! rungs are asserted bit-identical before their ratios are reported.
 //!
-//! A third scenario measures the **two-tier corpus tier**: streaming
-//! ingest rate (rows/s) through `CorpusBuilder` and the hot-cache
-//! pre-filtered search qps next to the batch tiers above. The recall
-//! and end-to-end speedup gates for that tier live in `ext_corpus`;
-//! here it is throughput only.
-//!
 //! With `--save`, archives the human-readable run to
 //! `results/ext_batch_throughput.txt` and a machine-readable sidecar to
 //! `results/BENCH_batch.json`. The quick run doubles as the CI perf
@@ -41,7 +35,6 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use tdam::array::TdamArray;
 use tdam::config::ArrayConfig;
-use tdam::corpus::{CorpusBuilder, CorpusConfig};
 use tdam::engine::{BatchQuery, SimilarityEngine};
 use tdam::packed::PackedKernel;
 use tdam::throughput::worst_case_cycle;
@@ -317,76 +310,6 @@ fn main() {
     // later reporting (force_kernel only pins what we measured above).
     let _ = ladder.force_kernel(PackedKernel::detect());
 
-    // ------------------------------------------------------------------
-    // Two-tier corpus tier: streaming ingest rate through CorpusBuilder
-    // and the hot-cache pre-filtered search qps. Throughput only — the
-    // recall and end-to-end speedup gates live in `ext_corpus`.
-    // ------------------------------------------------------------------
-    let (corpus_rows, corpus_shard_rows, corpus_nprobe) = if quick_mode() {
-        (20_000usize, 512usize, 8usize)
-    } else {
-        (100_000, 1024, 8)
-    };
-    let corpus_queries = if quick_mode() { 32usize } else { 64 };
-    rpt.header(&format!(
-        "two-tier corpus tier: {corpus_rows} rows x {stages} stages, \
-         shards of {corpus_shard_rows}, nprobe {corpus_nprobe}"
-    ));
-    let corpus_data: Vec<Vec<u8>> = (0..corpus_rows)
-        .map(|_| {
-            (0..stages)
-                .map(|_| rng.gen_range(0..levels) as u8)
-                .collect()
-        })
-        .collect();
-    let t0 = Instant::now();
-    let mut corpus_builder = CorpusBuilder::new(CorpusConfig {
-        array: ArrayConfig::paper_default().with_stages(stages),
-        shard_rows: corpus_shard_rows,
-        nprobe: corpus_nprobe,
-        cache_budget_bytes: 128 << 20,
-        seed,
-        ..CorpusConfig::paper_default()
-    })
-    .expect("corpus config");
-    corpus_builder.append_rows(&corpus_data).expect("ingest");
-    let mut corpus_engine = corpus_builder.build().expect("corpus build");
-    let corpus_build_s = t0.elapsed().as_secs_f64();
-    let corpus_ingest_rows_per_s = corpus_rows as f64 / corpus_build_s;
-    rline!(
-        rpt,
-        "ingest + build:     {:>10.3} ms  ({:>9.0} rows/s) into {} shards",
-        corpus_build_s * 1e3,
-        corpus_ingest_rows_per_s,
-        corpus_engine.shards()
-    );
-    let corpus_query_set: Vec<Vec<u8>> = (0..corpus_queries)
-        .map(|_| {
-            (0..stages)
-                .map(|_| rng.gen_range(0..levels) as u8)
-                .collect()
-        })
-        .collect();
-    // Warm pass compiles the probed snapshots; the timed passes are hot.
-    for q in &corpus_query_set {
-        corpus_engine.search_topk(q, 10).expect("corpus warm");
-    }
-    let mut corpus_best = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        for q in &corpus_query_set {
-            corpus_engine.search_topk(q, 10).expect("corpus search");
-        }
-        corpus_best = corpus_best.min(t0.elapsed().as_secs_f64());
-    }
-    let corpus_qps = corpus_queries as f64 / corpus_best;
-    rline!(
-        rpt,
-        "pre-filtered top-10:{:>10.3} ms  ({:>9.0} queries/s) hot snapshot cache",
-        corpus_best * 1e3,
-        corpus_qps
-    );
-
     // What the hardware itself would sustain: the paper's 2-step scheme
     // pipelines precharge/settle of query k+1 under propagation of k.
     let cycle = worst_case_cycle(&cfg).expect("cycle model");
@@ -456,16 +379,5 @@ fn main() {
                 .obj("qps", qps)
                 .num("widest_vs_scalar", wide_vs_scalar)
         })
-        .obj(
-            "corpus",
-            JsonMap::new()
-                .int("rows", corpus_rows as i64)
-                .int("shard_rows", corpus_shard_rows as i64)
-                .int("nprobe", corpus_nprobe as i64)
-                .int("shards", corpus_engine.shards() as i64)
-                .int("queries", corpus_queries as i64)
-                .num("ingest_rows_per_s", corpus_ingest_rows_per_s)
-                .num("search_qps", corpus_qps),
-        )
         .finish("BENCH_batch");
 }

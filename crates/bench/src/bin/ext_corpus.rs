@@ -8,15 +8,16 @@
 //! (reporting the rows/s ingest rate), then answers a seeded query set
 //! three ways: flat packed brute force over one `from_codes` array (the
 //! exact baseline), the two-tier engine with a cold snapshot cache
-//! (every probe compiles), and the same engine hot. Gates:
+//! (every probed shard pages its stored planes in), and the same engine
+//! hot. Gates:
 //!
 //! * recall@10 against the flat exact baseline must be >= 0.95, and
 //! * the hot two-tier path must be >= 4x (quick) / >= 10x (full)
 //!   faster end-to-end than flat packed brute force.
 //!
 //! With `--save`, archives `results/ext_corpus.txt` and the
-//! machine-readable `results/BENCH_corpus.json` (CI uploads the quick
-//! variant as an artifact).
+//! machine-readable `results/BENCH_corpus.json`, both naming the host
+//! (CI uploads the quick variant as an artifact).
 //!
 //! Usage: `cargo run --release -p tdam-bench --bin ext_corpus [--quick] [--save]`
 
@@ -27,7 +28,7 @@ use tdam::corpus::{CorpusBuilder, CorpusConfig, CorpusEngine};
 use tdam::packed::PackedArray;
 use tdam::tdc::CounterTdc;
 use tdam::timing::StageTiming;
-use tdam_bench::{quick_mode, rline, JsonMap, Report};
+use tdam_bench::{host, quick_mode, rline, JsonMap, Report};
 
 /// SplitMix64 finalizer — the repo-wide seeding discipline.
 fn splitmix(mut x: u64) -> u64 {
@@ -101,6 +102,8 @@ fn main() {
     rpt.header(&format!(
         "two-tier corpus search: {rows} rows x {stages} stages, {protos} prototypes"
     ));
+    let host = host();
+    rline!(rpt, "host: {host}");
     let corpus = clustered(rows, stages, protos, levels, seed);
 
     // Streaming bulk ingestion + build, reported as rows/s.
@@ -171,7 +174,7 @@ fn main() {
         n_queries as f64 / brute_s
     );
 
-    // Two-tier: cold pass (every probed shard compiles its snapshot),
+    // Two-tier: cold pass (every probed shard pages its planes in),
     // then hot (cache resident).
     let (cold_answers, cold_s) = tier_pass(&mut engine, &queries, k);
     let (hot_answers, hot_s) = tier_pass(&mut engine, &queries, k);
@@ -237,6 +240,7 @@ fn main() {
             "scenario",
             &format!("{rows} rows x {stages} stages, {protos} prototypes"),
         )
+        .str("host", &host)
         .obj(
             "config",
             JsonMap::new()

@@ -20,6 +20,7 @@
 //! | `ext_recovery` | Extension: crash-injection campaign over the checkpoint/journal store + warm-start restore |
 //! | `ext_serve_scale` | Extension: sharded TCP serving front-end — load sweep, guaranteed shedding, warm-standby failover |
 //! | `ext_mutation` | Extension: online mutation — incremental repack cost, p99 under a live write mix, mutation-chaos correctness campaign |
+//! | `ext_corpus` | Extension: million-row two-tier corpus search vs flat packed brute force |
 //!
 //! `benches/` contains Criterion micro-benchmarks of the underlying
 //! engines (device model, circuit solver, chain evaluation, HDC
@@ -286,6 +287,19 @@ macro_rules! rline {
     ($report:expr, $($arg:tt)+) => {
         $report.line(format!($($arg)+))
     };
+}
+
+/// The measuring host, for archived reports: CPU model (from
+/// `/proc/cpuinfo`, where there is one), threads, packed-kernel rung.
+pub fn host() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = info
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'));
+    let cpu = model.map_or("unknown", |(_, name)| name.trim());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let kernel = tdam::packed::PackedKernel::detect().name();
+    format!("{cpu}, {threads} threads, packed kernel {kernel}")
 }
 
 /// Formats a quantity in engineering notation with a unit.

@@ -886,8 +886,8 @@ fn sim_report_lines(report: &tdam::sim::SimReport) -> String {
     );
     if report.corpus_judged > 0 || report.corpus_mutations > 0 {
         out.push_str(&format!(
-            "corpus tier: judged {} restricted re-ranks, {} mutations\n",
-            report.corpus_judged, report.corpus_mutations,
+            "corpus tier: judged {} restricted re-ranks, {} mutations, {} cache evictions\n",
+            report.corpus_judged, report.corpus_mutations, report.corpus_evictions,
         ));
     }
     out
@@ -968,8 +968,8 @@ fn simulate(args: &Args) -> Result<String, CliError> {
         );
         if report.corpus_judged > 0 || report.corpus_mutations > 0 {
             out.push_str(&format!(
-                "corpus tier: judged {} restricted re-ranks, {} mutations\n",
-                report.corpus_judged, report.corpus_mutations,
+                "corpus tier: judged {} restricted re-ranks, {} mutations, {} cache evictions\n",
+                report.corpus_judged, report.corpus_mutations, report.corpus_evictions,
             ));
         }
         if report.failing_seeds.is_empty() {

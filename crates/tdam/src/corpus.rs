@@ -25,27 +25,28 @@
 //!    [`CorpusConfig::nprobe`] nearest shards. For 1M rows in
 //!    4096-row shards this is a 245-row scan — noise next to brute
 //!    force's 1M.
-//! 3. **Re-rank** — surviving shards are scanned *exactly* on per-shard
-//!    packed snapshots built by [`PackedArray::from_codes`], and every
-//!    decoded distance streams into one bounded top-`k` select (no
-//!    candidate list, no sort); distances and `(distance, id)`
-//!    tie-breaking are bit-identical to
+//! 3. **Re-rank** — surviving shards are scanned *exactly* on their
+//!    resident packed snapshots, and every decoded distance streams
+//!    into one bounded top-`k` select (no candidate list, no sort);
+//!    distances and `(distance, id)` tie-breaking are bit-identical to
 //!    [`crate::serve::brute_force_topk`] restricted to the probed
 //!    shards (pinned by `tests/corpus.rs` across every kernel rung).
 //!
+//! # Storage and residency
+//!
+//! As the TD-AM's cells hold codes as the search reads them, a shard is
+//! stored as the kernel scans it: one [`PackedArray`] of lane planes
+//! (its length rounded up to 64 rows) plus its ids. Placement,
+//! [`CorpusEngine::update_row`] and [`CorpusEngine::append_row`] write
+//! the planes directly; checkpoints unpack them to codes (format v5).
+//!
 //! Only hot shards stay resident: snapshots live in an LRU cache with a
 //! resident-byte budget ([`CorpusConfig::cache_budget_bytes`]); hits,
-//! misses, evictions, and cumulative compile time surface through the
-//! corpus counters of [`RuntimeStats`]. Because a snapshot is a pure
-//! function of its shard's codes (capacity quantization included), an
-//! evicted shard recompiles **bit-identically** on its next probe.
-//!
-//! Streaming ingest ([`CorpusBuilder::append_rows`] before build,
-//! [`CorpusEngine::append_row`] after) programs rows shard-by-shard:
-//! post-build appends route to the nearest centroid and patch any
-//! resident snapshot surgically via [`PackedArray::repack_row_codes`] —
-//! the corpus-tier form of PR 8's `refresh_rows` repack — without
-//! recompiling the world.
+//! misses, evictions, and cumulative page-in time surface through the
+//! corpus counters of [`RuntimeStats`]. A miss copies the shard's stored
+//! planes (~64 KiB at 4096 rows × 32 stages × 2 bits), so an evicted
+//! shard comes back **bit-identically**. Writes land in the storage and
+//! in a resident copy; an append that outgrows the copy drops it.
 //!
 //! # Recall
 //!
@@ -108,11 +109,10 @@ fn splitmix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Snapshot capacity for a shard of `len` rows: the next multiple of 64
-/// (at least one). Quantizing keeps append headroom — a shard can grow
-/// to its capacity through surgical repacks before a recompile is
-/// needed — and makes the snapshot a pure function of `len`, which is
-/// what guarantees bit-identical recompiles after eviction.
+/// Plane capacity for a shard of `len` rows: the next multiple of 64
+/// (at least one). Quantizing keeps append headroom — a shard grows to
+/// its capacity through single-row writes before its planes are
+/// re-strided — and makes a shard's footprint a pure function of `len`.
 fn capacity_for(len: usize) -> usize {
     len.div_ceil(64).max(1) * 64
 }
@@ -447,29 +447,30 @@ impl CorpusBuilder {
                 ))
             },
         )?;
-        let mut clusters: Vec<ClusterData> = (0..k)
-            .map(|_| ClusterData {
-                codes: Vec::new(),
-                ids: Vec::new(),
-            })
-            .collect();
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut locate = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let preferred = prefs[r]
+        for (r, pref) in prefs.iter().enumerate() {
+            let preferred = pref
                 .iter()
                 .map(|&c| c as usize)
-                .find(|&c| clusters[c].ids.len() < cfg.shard_rows);
+                .find(|&c| members[c].len() < cfg.shard_rows);
             let c = preferred.unwrap_or_else(|| {
                 (0..k)
-                    .find(|&c| clusters[c].ids.len() < cfg.shard_rows)
+                    .find(|&c| members[c].len() < cfg.shard_rows)
                     .expect("total shard capacity covers every row")
             });
-            locate.push((c as u32, clusters[c].ids.len() as u32));
-            clusters[c].ids.push(r as u32);
-            clusters[c]
-                .codes
-                .extend_from_slice(&codes[r * stages..(r + 1) * stages]);
+            locate.push((c as u32, members[c].len() as u32));
+            members[c].push(r as u32);
         }
+        // The placement's rows go straight into their shard's planes.
+        let shards = members
+            .into_iter()
+            .map(|ids| {
+                Shard::pack(&centroid_packed, ids, |_, r| {
+                    &codes[r as usize * stages..(r as usize + 1) * stages]
+                })
+            })
+            .collect();
 
         let centroid_scratch = centroid_packed.scratch();
         let rerank_scratch = centroid_packed.scratch();
@@ -478,17 +479,15 @@ impl CorpusBuilder {
             encoding,
             stages,
             timing,
-            tdc,
             centroids,
             centroid_packed,
             centroid_scratch,
             rerank_scratch,
-            clusters,
+            shards,
             locate,
             resident: HashMap::new(),
             tick: 0,
             resident_bytes: 0,
-            kernel_pin: None,
             stats: RuntimeStats::default(),
             clock,
         })
@@ -520,34 +519,56 @@ fn nearest_rows(cp: &PackedArray, query: &[u8], scratch: &mut PackedScratch, t: 
             (e + o, c as u32)
         })
         .collect();
+    // Keys are unique (the index breaks ties), so partitioning off the
+    // `t` smallest before sorting them ranks exactly as a full sort.
+    if t < ranked.len() {
+        ranked.select_nth_unstable(t);
+        ranked.truncate(t);
+    }
     ranked.sort_unstable();
-    ranked.truncate(t);
     ranked.into_iter().map(|(_, c)| c).collect()
 }
 
-/// One shard's posting list: row codes (flat, slot-major) and the
-/// engine-global id stored at each slot.
+/// One shard in its persisted form: row codes (flat, slot-major) and
+/// the engine-global id stored at each slot.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClusterData {
     pub(crate) codes: Vec<u8>,
     pub(crate) ids: Vec<u32>,
 }
 
-impl ClusterData {
-    fn len(&self) -> usize {
-        self.ids.len()
+/// One shard as the engine stores it: the packed lane planes of its
+/// rows (padded to [`capacity_for`] its length with all-zero rows whose
+/// slots are never consumed) and the engine-global id at each slot.
+#[derive(Debug, Clone)]
+struct Shard {
+    planes: PackedArray,
+    ids: Vec<u32>,
+}
+
+impl Shard {
+    /// Packs the shard holding `ids`, slot by slot from `row(slot, id)`,
+    /// into planes that share `template`'s calibration tables.
+    fn pack<'a>(
+        template: &PackedArray,
+        ids: Vec<u32>,
+        row: impl Fn(usize, u32) -> &'a [u8],
+    ) -> Self {
+        let mut planes = template.blank_like(capacity_for(ids.len()));
+        for (slot, &id) in ids.iter().enumerate() {
+            planes.repack_row_codes(slot, row(slot, id));
+        }
+        Self { planes, ids }
     }
 }
 
-/// One resident shard snapshot: the packed view (padded to
-/// [`capacity_for`] the shard's length with all-zero rows whose slots
-/// are never consumed) plus its recency tick.
+/// One resident shard snapshot — a copy of the shard's planes — plus
+/// its recency tick.
 #[derive(Debug)]
 struct Resident {
     packed: PackedArray,
-    capacity: usize,
     /// Value of the engine's recency clock at this shard's last
-    /// compile or cache hit; the minimum is the least recently used.
+    /// page-in or cache hit; the minimum is the least recently used.
     tick: u64,
 }
 
@@ -567,7 +588,7 @@ pub struct CorpusTierStatus {
     pub resident_bytes: usize,
     /// Configured resident-byte budget.
     pub budget_bytes: usize,
-    /// Cumulative counters (cache hits/misses/evictions, compile time,
+    /// Cumulative counters (cache hits/misses/evictions, page-in time,
     /// queries, writes, surgical repacks).
     pub stats: RuntimeStats,
 }
@@ -579,27 +600,24 @@ pub struct CorpusEngine {
     encoding: Encoding,
     stages: usize,
     timing: StageTiming,
-    tdc: CounterTdc,
     /// Flat `clusters · stages` centroid codes (the checkpointable
     /// centroid table).
     centroids: Vec<u8>,
-    /// The coarse tier: one packed array holding every centroid.
+    /// The coarse tier: one packed array holding every centroid. Every
+    /// shard's planes share its calibration tables.
     centroid_packed: PackedArray,
     centroid_scratch: PackedScratch,
     /// The one re-rank scratch every probed shard expands and counts
     /// into ([`PackedScratch::fit`] grows it to the tallest snapshot),
     /// so its count buffers stay cache-hot across shards.
     rerank_scratch: PackedScratch,
-    clusters: Vec<ClusterData>,
-    /// id → (cluster, slot).
+    shards: Vec<Shard>,
+    /// id → (shard, slot).
     locate: Vec<(u32, u32)>,
     resident: HashMap<usize, Resident>,
-    /// Recency clock: bumped on every cache hit and compile.
+    /// Recency clock: bumped on every cache hit and page-in.
     tick: u64,
     resident_bytes: usize,
-    /// Forced dispatch-ladder rung for every packed view (`None` =
-    /// auto-detect; see [`CorpusEngine::set_kernel`]).
-    kernel_pin: Option<PackedKernel>,
     stats: RuntimeStats,
     clock: Clock,
 }
@@ -617,7 +635,7 @@ impl CorpusEngine {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.clusters.len()
+        self.shards.len()
     }
 
     /// Rows currently held by shard `c`.
@@ -626,7 +644,7 @@ impl CorpusEngine {
     ///
     /// Panics when `c` is not a shard index.
     pub fn shard_len(&self, c: usize) -> usize {
-        self.clusters[c].len()
+        self.shards[c].ids.len()
     }
 
     /// Engine-global ids stored in shard `c`, in slot order.
@@ -635,7 +653,7 @@ impl CorpusEngine {
     ///
     /// Panics when `c` is not a shard index.
     pub fn shard_ids(&self, c: usize) -> &[u32] {
-        &self.clusters[c].ids
+        &self.shards[c].ids
     }
 
     /// The flat `shards · stages` centroid code table.
@@ -643,11 +661,15 @@ impl CorpusEngine {
         &self.centroids
     }
 
-    /// The stored codes of row `id`, or `None` for an unknown id.
-    pub fn row_codes(&self, id: usize) -> Option<&[u8]> {
+    /// The stored codes of row `id`, unpacked from its shard's planes,
+    /// or `None` for an unknown id.
+    pub fn row_codes(&self, id: usize) -> Option<Vec<u8>> {
         let &(c, slot) = self.locate.get(id)?;
-        let (c, slot) = (c as usize, slot as usize);
-        Some(&self.clusters[c].codes[slot * self.stages..(slot + 1) * self.stages])
+        let mut codes = vec![0u8; self.stages];
+        self.shards[c as usize]
+            .planes
+            .unpack_row(slot as usize, &mut codes);
+        Some(codes)
     }
 
     /// Cumulative counters.
@@ -655,9 +677,9 @@ impl CorpusEngine {
         &self.stats
     }
 
-    /// Pins the packed dispatch-ladder rung used by the centroid tier,
-    /// every resident shard snapshot, and every snapshot compiled from
-    /// here on (tests and operational pinning). Returns `false` —
+    /// Pins the packed dispatch-ladder rung used by the centroid tier and
+    /// every shard's planes, resident copies included, so later page-ins
+    /// inherit it (tests and operational pinning). Returns `false` —
     /// leaving the current rung in place — when the requested rung is
     /// not available in this build/CPU; the re-rank distances are
     /// bit-identical across rungs either way.
@@ -665,10 +687,10 @@ impl CorpusEngine {
         if !kernel.is_available() {
             return false;
         }
-        self.kernel_pin = Some(kernel);
         self.centroid_packed.set_kernel(kernel);
-        for ent in self.resident.values_mut() {
-            ent.packed.set_kernel(kernel);
+        let stored = self.shards.iter_mut().map(|shard| &mut shard.planes);
+        for packed in stored.chain(self.resident.values_mut().map(|ent| &mut ent.packed)) {
+            packed.set_kernel(kernel);
         }
         true
     }
@@ -677,7 +699,7 @@ impl CorpusEngine {
     pub fn status(&self) -> CorpusTierStatus {
         CorpusTierStatus {
             rows: self.total_rows(),
-            clusters: self.clusters.len(),
+            clusters: self.shards.len(),
             nprobe: self.cfg.nprobe,
             resident: self.resident.len(),
             resident_bytes: self.resident_bytes,
@@ -694,18 +716,12 @@ impl CorpusEngine {
     /// Returns [`TdamError::LengthMismatch`] /
     /// [`TdamError::ValueOutOfRange`] for malformed queries.
     pub fn probe(&mut self, query: &[u8]) -> Result<Vec<usize>, TdamError> {
-        if query.len() != self.stages {
-            return Err(TdamError::LengthMismatch {
-                got: query.len(),
-                expected: self.stages,
-            });
-        }
-        self.encoding.validate(query)?;
+        self.check_row(query)?;
         Ok(nearest_rows(
             &self.centroid_packed,
             query,
             &mut self.centroid_scratch,
-            self.cfg.nprobe.min(self.clusters.len()),
+            self.cfg.nprobe.min(self.shards.len()),
         )
         .into_iter()
         .map(|c| c as usize)
@@ -757,7 +773,7 @@ impl CorpusEngine {
     }
 
     /// The one slot walk: makes shard `c` resident (cache hit or
-    /// bit-identical recompile), counts `query` against it in the
+    /// page-in), counts `query` against it in the
     /// shared re-rank scratch, and hands `visit` each slot's snapshot,
     /// `(even, odd)` mismatch counts and engine-global id.
     fn walk_shard(
@@ -776,17 +792,17 @@ impl CorpusEngine {
         scratch.fit(packed);
         packed.expand_query(query, scratch);
         packed.mismatch_counts(scratch);
-        for (slot, &id) in self.clusters[c].ids.iter().enumerate() {
+        for (slot, &id) in self.shards[c].ids.iter().enumerate() {
             let (e, o) = packed.counts(scratch, 0, slot);
             visit(packed, e, o, id as usize);
         }
     }
 
     /// Makes shard `c`'s snapshot resident: an LRU hit refreshes
-    /// recency; a miss compiles the snapshot from the shard's codes
-    /// (counted in `corpus_compile_micros`) and evicts cold shards
-    /// until the cache is back under budget. The just-compiled snapshot
-    /// is never evicted, so a single over-budget shard still serves.
+    /// recency; a miss copies the shard's stored planes (timed in
+    /// `corpus_compile_micros`) and evicts cold shards until the cache
+    /// is back under budget. The just-paged-in snapshot is never
+    /// evicted, so a single over-budget shard still serves.
     fn ensure_resident(&mut self, c: usize) {
         self.tick += 1;
         if let Some(ent) = self.resident.get_mut(&c) {
@@ -796,26 +812,17 @@ impl CorpusEngine {
         }
         self.stats.corpus_cache_misses += 1;
         let t0 = self.clock.now();
-        let len = self.clusters[c].len();
-        let capacity = capacity_for(len);
-        let mut slab = vec![0u8; capacity * self.stages];
-        slab[..len * self.stages].copy_from_slice(&self.clusters[c].codes);
-        let mut packed =
-            PackedArray::from_codes(self.encoding, self.stages, &self.timing, &self.tdc, &slab);
-        if let Some(kernel) = self.kernel_pin {
-            packed.set_kernel(kernel);
-        }
+        let packed = self.shards[c].planes.clone();
         self.stats.corpus_compile_micros += self.clock.elapsed(t0).as_micros() as usize;
         self.resident_bytes += packed.resident_bytes();
         self.resident.insert(
             c,
             Resident {
                 packed,
-                capacity,
                 tick: self.tick,
             },
         );
-        // The just-compiled shard holds the newest tick, so it is never
+        // The just-paged-in shard holds the newest tick, so it is never
         // the minimum while another shard is resident.
         while self.resident_bytes > self.cfg.cache_budget_bytes && self.resident.len() > 1 {
             let victim = self
@@ -830,7 +837,7 @@ impl CorpusEngine {
     }
 
     /// Drops shard `c`'s resident snapshot (if any) without counting an
-    /// eviction — used when the snapshot is invalidated by growth.
+    /// eviction — used when the shard outgrows the snapshot.
     fn drop_resident(&mut self, c: usize) {
         if let Some(gone) = self.resident.remove(&c) {
             self.resident_bytes -= gone.packed.resident_bytes();
@@ -839,28 +846,26 @@ impl CorpusEngine {
 
     /// Appends one row post-build: it joins the shard of its nearest
     /// centroid (centroids stay fixed — the coarse structure does not
-    /// chase stragglers) and any resident snapshot is patched
-    /// surgically; a shard outgrowing its snapshot capacity drops the
-    /// snapshot for a bit-identical recompile at the next probe.
-    /// Returns the new row's id.
+    /// chase stragglers) and is written into the shard's planes, which
+    /// grow to the next capacity when full. A resident snapshot is
+    /// patched surgically, or dropped when the shard outgrew it, to be
+    /// paged in afresh at the next probe. Returns the new row's id.
     ///
     /// # Errors
     ///
     /// Returns [`TdamError::LengthMismatch`] /
     /// [`TdamError::ValueOutOfRange`] for malformed rows.
     pub fn append_row(&mut self, values: &[u8]) -> Result<usize, TdamError> {
-        if values.len() != self.stages {
-            return Err(TdamError::LengthMismatch {
-                got: values.len(),
-                expected: self.stages,
-            });
-        }
-        self.encoding.validate(values)?;
+        self.check_row(values)?;
         let c = nearest_row(&self.centroid_packed, values, &mut self.centroid_scratch);
         let id = self.locate.len();
-        let slot = self.clusters[c].len();
-        self.clusters[c].ids.push(id as u32);
-        self.clusters[c].codes.extend_from_slice(values);
+        let shard = &mut self.shards[c];
+        let slot = shard.ids.len();
+        if slot == shard.planes.rows() {
+            shard.planes.grow(capacity_for(slot + 1));
+        }
+        shard.planes.repack_row_codes(slot, values);
+        shard.ids.push(id as u32);
         self.locate.push((c as u32, slot as u32));
         self.stats.user_writes += 1;
         self.patch_resident(c, slot, values);
@@ -892,33 +897,38 @@ impl CorpusEngine {
     /// Returns [`TdamError::RowOutOfBounds`] for an unknown id and the
     /// usual shape errors for malformed values.
     pub fn update_row(&mut self, id: usize, values: &[u8]) -> Result<(), TdamError> {
+        self.check_row(values)?;
+        let &(c, slot) = self.locate.get(id).ok_or(TdamError::RowOutOfBounds {
+            row: id,
+            rows: self.locate.len(),
+        })?;
+        let (c, slot) = (c as usize, slot as usize);
+        self.shards[c].planes.repack_row_codes(slot, values);
+        self.stats.user_writes += 1;
+        self.patch_resident(c, slot, values);
+        Ok(())
+    }
+
+    /// Rejects a query or row of the wrong length or with a code
+    /// outside the encoding's levels.
+    fn check_row(&self, values: &[u8]) -> Result<(), TdamError> {
         if values.len() != self.stages {
             return Err(TdamError::LengthMismatch {
                 got: values.len(),
                 expected: self.stages,
             });
         }
-        self.encoding.validate(values)?;
-        let &(c, slot) = self.locate.get(id).ok_or(TdamError::RowOutOfBounds {
-            row: id,
-            rows: self.locate.len(),
-        })?;
-        let (c, slot) = (c as usize, slot as usize);
-        self.clusters[c].codes[slot * self.stages..(slot + 1) * self.stages]
-            .copy_from_slice(values);
-        self.stats.user_writes += 1;
-        self.patch_resident(c, slot, values);
-        Ok(())
+        self.encoding.validate(values)
     }
 
     /// Keeps a resident snapshot coherent with a single-slot write:
     /// surgical repack while the slot fits the snapshot's capacity,
-    /// else invalidate (recompiled bit-identically on next probe).
+    /// else invalidate (paged in afresh on the next probe).
     fn patch_resident(&mut self, c: usize, slot: usize, values: &[u8]) {
         let Some(ent) = self.resident.get_mut(&c) else {
             return;
         };
-        if slot < ent.capacity {
+        if slot < ent.packed.rows() {
             ent.packed.repack_row_codes(slot, values);
             self.stats.incremental_repacks += 1;
             self.stats.rows_repacked += 1;
@@ -927,30 +937,45 @@ impl CorpusEngine {
         }
     }
 
-    /// Destructures into the pieces the persistence layer serializes;
-    /// see [`crate::store::save_corpus`].
-    #[allow(clippy::type_complexity)]
+    /// Destructures into the pieces the persistence layer serializes,
+    /// each shard's planes unpacked to codes; see
+    /// [`crate::store::save_corpus`].
     pub(crate) fn persistent_parts(
         &self,
     ) -> (
         &CorpusConfig,
         &StageTiming,
         &[u8],
-        &[ClusterData],
+        Vec<ClusterData>,
         &RuntimeStats,
     ) {
+        let clusters = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let mut codes = vec![0u8; shard.ids.len() * self.stages];
+                for (slot, row) in codes.chunks_exact_mut(self.stages).enumerate() {
+                    shard.planes.unpack_row(slot, row);
+                }
+                ClusterData {
+                    codes,
+                    ids: shard.ids.clone(),
+                }
+            })
+            .collect();
         (
             &self.cfg,
             &self.timing,
             &self.centroids,
-            &self.clusters,
+            clusters,
             &self.stats,
         )
     }
 
-    /// Rebuilds an engine from checkpointed parts (an empty cache; the
-    /// centroid tier is recompiled from the centroid table, which is
-    /// bit-identical by the [`PackedArray::from_codes`] contract).
+    /// Rebuilds an engine from checkpointed parts (an empty cache): the
+    /// centroid tier is packed from the centroid table and each shard's
+    /// planes from its codes, bit-identically by the
+    /// [`PackedArray::from_codes`] contract.
     ///
     /// # Errors
     ///
@@ -997,6 +1022,14 @@ impl CorpusEngine {
         encoding.validate(&centroids)?;
         let tdc = CounterTdc::matched(&timing)?;
         let centroid_packed = PackedArray::from_codes(encoding, stages, &timing, &tdc, &centroids);
+        let shards = clusters
+            .into_iter()
+            .map(|ClusterData { codes, ids }| {
+                Shard::pack(&centroid_packed, ids, |slot, _| {
+                    &codes[slot * stages..(slot + 1) * stages]
+                })
+            })
+            .collect();
         let centroid_scratch = centroid_packed.scratch();
         let rerank_scratch = centroid_packed.scratch();
         Ok(Self {
@@ -1004,17 +1037,15 @@ impl CorpusEngine {
             encoding,
             stages,
             timing,
-            tdc,
             centroids,
             centroid_packed,
             centroid_scratch,
             rerank_scratch,
-            clusters,
+            shards,
             locate,
             resident: HashMap::new(),
             tick: 0,
             resident_bytes: 0,
-            kernel_pin: None,
             stats,
             clock,
         })
@@ -1180,7 +1211,7 @@ mod tests {
         let a = build(Some(1));
         let b = build(Some(4));
         assert_eq!(a.centroids, b.centroids, "seeded build is thread-invariant");
-        assert_eq!(a.clusters, b.clusters);
+        assert_eq!(a.persistent_parts().3, b.persistent_parts().3);
         assert_eq!(a.shards(), 300usize.div_ceil(cfg.shard_rows));
         for c in 0..a.shards() {
             assert!(a.shard_len(c) <= cfg.shard_rows, "capacity respected");
@@ -1205,7 +1236,7 @@ mod tests {
             // Distance 0, and the winner holds the query's exact codes
             // (a duplicate row at a lower id legitimately outranks `id`).
             assert_eq!(top[0].0, 0, "stored row found at distance 0");
-            assert_eq!(eng.row_codes(top[0].1).unwrap(), &rows[id][..]);
+            assert_eq!(eng.row_codes(top[0].1).unwrap(), rows[id]);
         }
     }
 
@@ -1256,7 +1287,7 @@ mod tests {
         // In-place update: the row answers at its new contents.
         let moved: Vec<u8> = (0..16).map(|j| (3 - j % 4) as u8).collect();
         eng.update_row(7, &moved).unwrap();
-        assert_eq!(eng.row_codes(7).unwrap(), &moved[..]);
+        assert_eq!(eng.row_codes(7).unwrap(), moved);
         let all_rows: usize = (0..eng.shards()).map(|c| eng.shard_len(c)).sum();
         assert_eq!(all_rows, 121);
     }
@@ -1278,7 +1309,7 @@ mod tests {
             let _ = eng.search_topk(&rows[id], 1).unwrap();
         }
         let again = eng.search_topk(&q, 10).unwrap();
-        assert_eq!(first, again, "evicted shards recompile bit-identically");
+        assert_eq!(first, again, "evicted shards page back in bit-identically");
         assert!(
             eng.stats().corpus_cache_evictions > 0,
             "budget forced evictions"
@@ -1427,7 +1458,7 @@ mod tests {
             *pcfg,
             *timing,
             centroids.to_vec(),
-            clusters.to_vec(),
+            clusters,
             *stats,
             Clock::wall(),
         )

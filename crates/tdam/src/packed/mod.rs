@@ -11,9 +11,11 @@
 //! replaces the walk with a bit-sliced compare:
 //!
 //! 1. **Packing** — each stored row's ≤4-bit level codes are bit-plane-
-//!    packed into `u64` words: bit `j mod 64` of plane word
-//!    `planes[row][b][j / 64]` is bit `b` of the level code stored at
-//!    stage `j`. A 128-stage 2-bit row is four words.
+//!    packed into `u64` words, row-transposed (the **lane layout** below):
+//!    bit `j mod 64` of `lane_planes[(w·bits + b)·rows_pad + row]`, with
+//!    `w = j / 64`, is bit `b` of the level code stored at stage `j`. A
+//!    128-stage 2-bit row is four words. The planes hold every code bit,
+//!    so `unpack_row` recovers the stored codes exactly.
 //! 2. **Query broadcast** — one query (or a tile of them) expands once
 //!    per batch-worker into the same plane layout
 //!    ([`PackedArray::expand_query`] / [`PackedArray::expand_tile`]),
@@ -27,7 +29,7 @@
 //! 4. **Reconstruction** — delays, TDC digitization, and energies are
 //!    rebuilt from the `(even, odd)` counts via count-indexed tables
 //!    built by repeated addition, the same discipline the behavioral
-//!    model accumulates its energies with (`PackedArray::digest`).
+//!    model accumulates its energies with (`Tables::digest`).
 //!
 //! # Execution: the dispatch ladder and the lane layout
 //!
@@ -50,13 +52,19 @@
 //! bit-identical** — the dispatch is a pure performance choice, pinned by
 //! `tests/packed_equiv.rs`.
 //!
-//! To let one register carry several *rows*, [`PackedArray::build`] keeps
-//! a second, row-transposed copy of the planes (the **lane layout**):
+//! To let one register carry several *rows*, the planes are stored
+//! row-transposed (the **lane layout**):
 //! `lane_planes[(w·bits + b)·rows_pad + r]`, where `rows_pad` is the row
 //! count rounded up to a multiple of 8 (padding rows read as all-zero and
 //! their counts are never consumed). For a fixed plane word `(w, b)`,
 //! consecutive rows are contiguous, so an 8-row group is one unaligned
-//! 512-bit load.
+//! 512-bit load. It is the only copy of the planes: the single-row
+//! reference kernel reads it too.
+//!
+//! The parity masks and count-indexed tables depend only on the
+//! calibration, never on row contents, so they sit behind an `Arc`: a
+//! clone copies the planes alone, which is how the [`crate::corpus`]
+//! tier stores its shards and pages one in.
 //!
 //! Batch serving additionally blocks the loop nest for cache residency
 //! (**query-major tiling**): the batch paths
@@ -142,6 +150,7 @@ use crate::tdc::CounterTdc;
 use crate::timing::StageTiming;
 use crate::TdamArray;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 mod kernel;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -341,42 +350,15 @@ struct RowDigest {
     tdc_energy: f64,
 }
 
-/// The bit-sliced packed view of a [`TdamArray`]: stored bit planes,
-/// parity masks, and the count-indexed reconstruction tables.
-///
-/// Built by [`PackedArray::build`] (callers usually go through
-/// [`TdamArray::compile_snapshot`](crate::TdamArray::compile_snapshot),
-/// whose one compiled form is this view).
+/// What a packed array derives from its calibration alone, never from
+/// row contents: the parity masks and the count-indexed tables, shared
+/// through an `Arc` by clones and `blank_like` arrays.
 #[derive(Debug, Clone)]
-pub struct PackedArray {
+struct Tables {
     stages: usize,
-    bits: usize,
-    words: usize,
-    rows: usize,
-    /// Rows rounded up to a multiple of [`LANES`]; the row stride of the
-    /// lane layout. Padding rows hold all-zero lane words and their
-    /// counts are computed but never consumed.
-    rows_pad: usize,
-    /// `planes[(row * bits + b) * words + w]`: bit `b` of the codes
-    /// stored at stages `64·w .. 64·w + 63` of `row` — the row-major
-    /// view the single-row reference kernel
-    /// ([`PackedArray::row_mismatches`]) reads.
-    planes: Vec<u64>,
-    /// Row-transposed copy of `planes` for the block kernels:
-    /// `lane_planes[(w * bits + b) * rows_pad + r]`. For a fixed plane
-    /// word `(w, b)` consecutive rows are contiguous, so one wide
-    /// register (or one unrolled iteration) carries a whole row group.
-    /// Invariant: `lane_planes.len() == bits * words * rows_pad`.
-    lane_planes: Vec<u64>,
-    /// The dispatch-ladder rung executing the block kernels (see
-    /// [`PackedKernel`]); chosen by [`PackedKernel::detect`] at build.
-    kernel: PackedKernel,
-    /// Which rows are served by the kernel (the rest fall back to the
-    /// behavioral model).
-    packable: Vec<bool>,
-    /// The masked-stage set the view was built with, retained so per-row
+    /// The masked-stage set the parity masks encode, retained so per-row
     /// surgical repacks ([`PackedArray::repack_row`]) re-judge
-    /// packability under the same mask the parity masks encode.
+    /// packability under the same mask.
     masked: BTreeSet<usize>,
     even_mask: Vec<u64>,
     odd_mask: Vec<u64>,
@@ -404,6 +386,195 @@ pub struct PackedArray {
     tdc: CounterTdc,
 }
 
+impl Tables {
+    fn new(stages: usize, masked: BTreeSet<usize>, timing: StageTiming, tdc: CounterTdc) -> Self {
+        // Parity masks with the tail beyond `stages` and every masked
+        // column cleared: a bit that survives neither mask can never be
+        // counted as a mismatch.
+        let mut even_mask = vec![0u64; stages.div_ceil(64)];
+        let mut odd_mask = even_mask.clone();
+        for j in 0..stages {
+            if masked.contains(&j) {
+                continue;
+            }
+            let target = if j % 2 == 0 {
+                &mut even_mask
+            } else {
+                &mut odd_mask
+            };
+            target[j / 64] |= 1u64 << (j % 64);
+        }
+
+        // Count-indexed reconstruction tables, all built by repeated
+        // addition, so the energy figures stay bitwise equal to the
+        // behavioral accumulation of identical addends.
+        let max_even = stages.div_ceil(2);
+        let max_odd = stages / 2;
+        let max_k = max_even.max(max_odd);
+        let mut step_delay = Vec::with_capacity(max_k + 1);
+        let mut base_step = 0.0f64;
+        for _ in 0..stages {
+            base_step += timing.d_inv;
+        }
+        step_delay.push(base_step);
+        for k in 1..=max_k {
+            step_delay.push(step_delay[k - 1] + timing.d_c);
+        }
+        let mut cum_cap = Vec::with_capacity(stages + 1);
+        let mut cum_mn = Vec::with_capacity(stages + 1);
+        let (mut cap, mut mn) = (0.0f64, 0.0f64);
+        cum_cap.push(cap);
+        cum_mn.push(mn);
+        for _ in 0..stages {
+            cap += timing.e_c;
+            mn += timing.e_mn;
+            cum_cap.push(cap);
+            cum_mn.push(mn);
+        }
+
+        let mut tables = Self {
+            stages,
+            masked,
+            even_mask,
+            odd_mask,
+            step_delay,
+            digests: Vec::new(),
+            decoded_table: Vec::new(),
+            max_even,
+            max_odd,
+            cum_cap_energy: cum_cap,
+            cum_mn_energy: cum_mn,
+            inverter_energy: stages as f64 * timing.e_inv,
+            search_line_energy: stages as f64 * timing.e_sl,
+            timing,
+            tdc,
+        };
+        // The digest table (and its dense decoded companion) when
+        // `(max_even + 1)·(max_odd + 1)` fits under DIGEST_TABLE_CAP;
+        // larger geometries compute digests per row.
+        let table = (max_even + 1) * (max_odd + 1);
+        if table <= DIGEST_TABLE_CAP {
+            let mut digests = Vec::with_capacity(table);
+            for even in 0..=max_even {
+                for odd in 0..=max_odd {
+                    digests.push(tables.compute_digest(even, odd));
+                }
+            }
+            tables.decoded_table = digests.iter().map(|d| d.decoded as u32).collect();
+            tables.digests = digests;
+        }
+        tables
+    }
+
+    /// A calibration where `d_INV + d_C` is indistinguishable from
+    /// `d_INV`: the mismatch count is not recoverable from delay, so no
+    /// row may be packed.
+    fn degenerate(&self) -> bool {
+        self.timing.d_inv + self.timing.d_c == self.timing.d_inv
+    }
+
+    fn decoded(&self, even: usize, odd: usize) -> usize {
+        debug_assert!(even <= self.max_even && odd <= self.max_odd);
+        if self.decoded_table.is_empty() {
+            self.compute_digest(even, odd).decoded
+        } else {
+            self.decoded_table[even * (self.max_odd + 1) + odd] as usize
+        }
+    }
+
+    fn digest(&self, even: usize, odd: usize) -> RowDigest {
+        debug_assert!(even <= self.max_even && odd <= self.max_odd);
+        if self.digests.is_empty() {
+            self.compute_digest(even, odd)
+        } else {
+            self.digests[even * (self.max_odd + 1) + odd]
+        }
+    }
+
+    fn compute_digest(&self, even: usize, odd: usize) -> RowDigest {
+        let rising = self.step_delay[even];
+        let falling = self.step_delay[odd];
+        let total = rising + falling;
+        RowDigest {
+            rising,
+            falling,
+            total,
+            count: self.tdc.convert(total),
+            decoded: self.tdc.decode_mismatches(&self.timing, self.stages, total),
+            tdc_energy: self.tdc.conversion_energy(total),
+        }
+    }
+
+    fn chain_result(&self, even: usize, odd: usize, d: &RowDigest) -> ChainResult {
+        let mismatches = even + odd;
+        ChainResult {
+            rising_delay: d.rising,
+            falling_delay: d.falling,
+            total_delay: d.total,
+            mismatches,
+            even_mismatches: even,
+            odd_mismatches: odd,
+            energy: EnergyBreakdown {
+                inverters: self.inverter_energy,
+                load_caps: self.cum_cap_energy[mismatches],
+                match_nodes: self.cum_mn_energy[mismatches],
+                search_lines: self.search_line_energy,
+                ..EnergyBreakdown::default()
+            },
+        }
+    }
+}
+
+/// Branchless transposition of up to 64 level codes into their plane
+/// words: bit `j` of word `b` is bit `b` of `chunk[j]`. Every word comes
+/// back whole, so a caller that stores all `bits` of them overwrites
+/// whatever the slot held before.
+#[inline]
+fn plane_words(chunk: &[u8], bits: usize) -> [u64; 4] {
+    debug_assert!(chunk.len() <= 64 && bits <= 4);
+    let mut acc = [0u64; 4];
+    for (j, &code) in chunk.iter().enumerate() {
+        let mut v = code as u64;
+        for a in acc.iter_mut().take(bits) {
+            *a |= (v & 1) << j;
+            v >>= 1;
+        }
+    }
+    acc
+}
+
+/// The bit-sliced packed view of a [`TdamArray`] or of a slab of level
+/// codes: the row-transposed bit planes plus a shared handle on the
+/// calibration's parity masks and reconstruction tables.
+///
+/// Built by [`PackedArray::build`] (callers usually go through
+/// [`TdamArray::compile_snapshot`](crate::TdamArray::compile_snapshot),
+/// whose one compiled form is this view) or [`PackedArray::from_codes`].
+#[derive(Debug, Clone)]
+pub struct PackedArray {
+    bits: usize,
+    words: usize,
+    rows: usize,
+    /// Rows rounded up to a multiple of [`LANES`]; the row stride of the
+    /// lane layout. Padding rows hold all-zero lane words and their
+    /// counts are computed but never consumed.
+    rows_pad: usize,
+    /// The bit planes, row-transposed for the block kernels:
+    /// `lane_planes[(w * bits + b) * rows_pad + r]` holds bit `b` of the
+    /// codes stored at stages `64·w .. 64·w + 63` of row `r`. For a
+    /// fixed plane word `(w, b)` consecutive rows are contiguous, so one
+    /// wide register (or one unrolled iteration) carries a whole row
+    /// group. Invariant: `lane_planes.len() == bits * words * rows_pad`.
+    lane_planes: Vec<u64>,
+    /// The dispatch-ladder rung executing the block kernels (see
+    /// [`PackedKernel`]); chosen by [`PackedKernel::detect`] at build.
+    kernel: PackedKernel,
+    /// Which rows are served by the kernel (the rest fall back to the
+    /// behavioral model).
+    packable: Vec<bool>,
+    tables: Arc<Tables>,
+}
+
 impl PackedArray {
     /// Packs every nominal row of `array` into bit planes; stages listed
     /// in `masked` are packed as always-match (see the module docs). Rows
@@ -413,27 +584,17 @@ impl PackedArray {
     /// mismatch count would no longer be recoverable from delay.
     pub fn build(array: &TdamArray, masked: &BTreeSet<usize>) -> Self {
         let config = array.config();
-        let stages = config.stages;
-        let bits = config.encoding.bits() as usize;
+        let tables = Tables::new(config.stages, masked.clone(), *array.timing(), *array.tdc());
         let rows = array.chains().len();
-        let mut packed = Self::skeleton(
-            stages,
-            bits,
-            rows,
-            masked.clone(),
-            *array.timing(),
-            *array.tdc(),
-        );
+        let mut packed = Self::blank(Arc::new(tables), config.encoding.bits() as usize, rows);
         for row in 0..rows {
             packed.repack_row(array, row);
         }
-        packed.fill_digest_tables();
         packed
     }
 
     /// Packs a corpus of (pre-validated, ideal) level codes directly into
-    /// bit planes — the cell-free constructor the [`crate::corpus`] tier
-    /// builds its per-shard snapshots with. `codes` is row-major flat
+    /// bit planes — the cell-free constructor. `codes` is row-major flat
     /// (`rows · stages` bytes); every row is packable (codes carry no
     /// device variation) unless the calibration is degenerate, and no
     /// stages are masked.
@@ -465,131 +626,62 @@ impl PackedArray {
             0,
             "codes slab must be a whole number of rows"
         );
-        let rows = codes.len() / stages;
-        let bits = encoding.bits() as usize;
-        let mut packed = Self::skeleton(stages, bits, rows, BTreeSet::new(), *timing, *tdc);
-        for row in 0..rows {
-            packed.repack_row_codes(row, &codes[row * stages..(row + 1) * stages]);
+        let tables = Arc::new(Tables::new(stages, BTreeSet::new(), *timing, *tdc));
+        let mut packed = Self::blank(tables, encoding.bits() as usize, codes.len() / stages);
+        for (row, code) in codes.chunks_exact(stages).enumerate() {
+            packed.repack_row_codes(row, code);
         }
-        packed.fill_digest_tables();
         packed
     }
 
-    /// The geometry/calibration shell shared by [`PackedArray::build`]
-    /// and [`PackedArray::from_codes`]: parity masks, zeroed plane
-    /// layouts, and every count-indexed reconstruction table — everything
-    /// except the per-row plane contents.
-    fn skeleton(
-        stages: usize,
-        bits: usize,
-        rows: usize,
-        masked: BTreeSet<usize>,
-        timing: StageTiming,
-        tdc: CounterTdc,
-    ) -> Self {
-        let words = stages.div_ceil(64);
-
-        // Parity masks with the tail beyond `stages` and every masked
-        // column cleared: a bit that survives neither mask can never be
-        // counted as a mismatch.
-        let mut even_mask = vec![0u64; words];
-        let mut odd_mask = vec![0u64; words];
-        for j in 0..stages {
-            if masked.contains(&j) {
-                continue;
-            }
-            let target = if j % 2 == 0 {
-                &mut even_mask
-            } else {
-                &mut odd_mask
-            };
-            target[j / 64] |= 1u64 << (j % 64);
-        }
-
-        let rows_pad = rows.div_ceil(LANES) * LANES;
-        let planes = vec![0u64; rows * bits * words];
-        let lane_planes = vec![0u64; bits * words * rows_pad];
-        let packable = vec![false; rows];
-
-        // Count-indexed reconstruction tables, all built by repeated
-        // addition, so the energy figures stay bitwise equal to the
-        // behavioral accumulation of identical addends.
-        let max_even = stages.div_ceil(2);
-        let max_odd = stages / 2;
-        let max_k = max_even.max(max_odd);
-        let mut step_delay = Vec::with_capacity(max_k + 1);
-        let mut base_step = 0.0f64;
-        for _ in 0..stages {
-            base_step += timing.d_inv;
-        }
-        step_delay.push(base_step);
-        for k in 1..=max_k {
-            step_delay.push(step_delay[k - 1] + timing.d_c);
-        }
-        let mut cum_cap = Vec::with_capacity(stages + 1);
-        let mut cum_mn = Vec::with_capacity(stages + 1);
-        let (mut cap, mut mn) = (0.0f64, 0.0f64);
-        cum_cap.push(cap);
-        cum_mn.push(mn);
-        for _ in 0..stages {
-            cap += timing.e_c;
-            mn += timing.e_mn;
-            cum_cap.push(cap);
-            cum_mn.push(mn);
-        }
-
+    /// A `rows`-row array of all-zero codes with this array's geometry,
+    /// calibration and kernel rung, sharing its tables — what
+    /// [`PackedArray::from_codes`] returns for a zero slab of the same
+    /// calibration, without rebuilding a table.
+    pub(crate) fn blank_like(&self, rows: usize) -> Self {
         Self {
-            stages,
+            kernel: self.kernel,
+            ..Self::blank(Arc::clone(&self.tables), self.bits, rows)
+        }
+    }
+
+    /// Zeroed planes of `rows` rows over `tables`: all-zero codes,
+    /// packable unless the calibration is degenerate.
+    fn blank(tables: Arc<Tables>, bits: usize, rows: usize) -> Self {
+        let words = tables.stages.div_ceil(64);
+        let rows_pad = rows.div_ceil(LANES) * LANES;
+        Self {
             bits,
             words,
             rows,
             rows_pad,
-            planes,
-            lane_planes,
+            lane_planes: vec![0u64; bits * words * rows_pad],
             kernel: PackedKernel::detect(),
-            packable,
-            masked,
-            even_mask,
-            odd_mask,
-            step_delay,
-            digests: Vec::new(),
-            decoded_table: Vec::new(),
-            max_even,
-            max_odd,
-            cum_cap_energy: cum_cap,
-            cum_mn_energy: cum_mn,
-            inverter_energy: stages as f64 * timing.e_inv,
-            search_line_energy: stages as f64 * timing.e_sl,
-            timing,
-            tdc,
+            packable: vec![!tables.degenerate(); rows],
+            tables,
         }
     }
 
-    /// Fills the count-indexed digest table (and its dense decoded
-    /// companion) when `(max_even + 1)·(max_odd + 1)` fits under
-    /// [`DIGEST_TABLE_CAP`]; larger geometries compute digests per row.
-    fn fill_digest_tables(&mut self) {
-        let table = (self.max_even + 1) * (self.max_odd + 1);
-        if table <= DIGEST_TABLE_CAP {
-            let mut digests = Vec::with_capacity(table);
-            for even in 0..=self.max_even {
-                for odd in 0..=self.max_odd {
-                    digests.push(self.compute_digest(even, odd));
-                }
-            }
-            self.decoded_table = digests.iter().map(|d| d.decoded as u32).collect();
-            self.digests = digests;
+    /// Grows a code-backed array to `rows` (≥ its row count): the planes
+    /// are re-strided by one run copy per plane word, with no
+    /// re-transposition, and the new rows are all-zero codes, exactly as
+    /// [`PackedArray::from_codes`] packs a slab padded with zero rows.
+    pub(crate) fn grow(&mut self, rows: usize) {
+        let mut grown = self.blank_like(rows);
+        let runs = grown.lane_planes.chunks_exact_mut(grown.rows_pad);
+        for (to, from) in runs.zip(self.lane_planes.chunks_exact(self.rows_pad)) {
+            to[..self.rows_pad].copy_from_slice(from);
         }
+        grown.packable[..self.rows].copy_from_slice(&self.packable);
+        *self = grown;
     }
 
     /// Surgically re-packs one row in place after its stored contents
-    /// changed: clears and rebuilds the row's bit planes in both the
-    /// row-major and the row-transposed lane layouts and re-judges its
+    /// changed: rewrites the row's lane words and re-judges its
     /// packability under the mask the view was built with. The parity
-    /// masks and every count-indexed reconstruction table (step delays,
-    /// digests, decoded distances, cumulative energies) are pure
-    /// functions of geometry, timing, and the mask — never of row
-    /// contents — so they are deliberately untouched.
+    /// masks and every count-indexed reconstruction table are pure
+    /// functions of the calibration — never of row contents — so they
+    /// are deliberately untouched.
     ///
     /// Cost is O(`bits · words`) ≈ O(stages), independent of the row
     /// count: this is the O(rows touched) half of the online-mutation
@@ -600,39 +692,28 @@ impl PackedArray {
     pub(crate) fn repack_row(&mut self, array: &TdamArray, row: usize) {
         debug_assert!(row < self.rows);
         let chain = &array.chains()[row];
-        let degenerate = self.timing.d_inv + self.timing.d_c == self.timing.d_inv;
-        self.packable[row] = !degenerate
+        let tables = &self.tables;
+        self.packable[row] = !tables.degenerate()
             && chain
                 .cells()
                 .iter()
                 .enumerate()
-                .all(|(j, c)| c.is_nominal() || self.masked.contains(&j));
-        let (bits, words) = (self.bits, self.words);
-        let base = row * bits * words;
-        self.planes[base..base + bits * words].fill(0);
-        for w in 0..words {
-            for b in 0..bits {
-                self.lane_planes[(w * bits + b) * self.rows_pad + row] = 0;
+                .all(|(j, c)| c.is_nominal() || tables.masked.contains(&j));
+        let mut codes = [0u8; 64];
+        for (w, cells) in chain.cells().chunks(64).enumerate() {
+            for (code, cell) in codes.iter_mut().zip(cells) {
+                *code = cell.stored();
             }
-        }
-        for (j, cell) in chain.cells().iter().enumerate() {
-            let code = cell.stored();
-            for b in 0..bits {
-                if (code >> b) & 1 == 1 {
-                    let (w, shift) = (j / 64, j % 64);
-                    self.planes[base + b * words + w] |= 1u64 << shift;
-                    self.lane_planes[(w * bits + b) * self.rows_pad + row] |= 1u64 << shift;
-                }
-            }
+            self.store_words(row, w, &codes[..cells.len()]);
         }
     }
 
     /// Surgically re-packs one row from a (pre-validated, ideal) level
-    /// code — the code-slab counterpart of `repack_row`,
-    /// used by the [`crate::corpus`] tier's streaming ingest and online
-    /// updates. Same cost (O(stages), independent of the row count) and
-    /// the same invariant: reconstruction tables are untouched because
-    /// they never depend on row contents. The row is packable unless the
+    /// code — the code-slab counterpart of `repack_row`, used by the
+    /// [`crate::corpus`] tier's placement pass and online writes. Same
+    /// cost (O(stages), independent of the row count) and the same
+    /// invariant: reconstruction tables are untouched because they never
+    /// depend on row contents. The row is packable unless the
     /// calibration is degenerate, exactly as in
     /// [`PackedArray::from_codes`].
     ///
@@ -642,39 +723,40 @@ impl PackedArray {
     /// `code.len() != stages`.
     pub fn repack_row_codes(&mut self, row: usize, code: &[u8]) {
         debug_assert!(row < self.rows);
-        debug_assert_eq!(code.len(), self.stages);
-        let degenerate = self.timing.d_inv + self.timing.d_c == self.timing.d_inv;
-        self.packable[row] = !degenerate;
-        let (bits, words) = (self.bits, self.words);
-        let base = row * bits * words;
-        self.planes[base..base + bits * words].fill(0);
-        for w in 0..words {
-            for b in 0..bits {
-                self.lane_planes[(w * bits + b) * self.rows_pad + row] = 0;
-            }
-        }
-        for (j, &code) in code.iter().enumerate() {
-            for b in 0..bits {
-                if (code >> b) & 1 == 1 {
-                    let (w, shift) = (j / 64, j % 64);
-                    self.planes[base + b * words + w] |= 1u64 << shift;
-                    self.lane_planes[(w * bits + b) * self.rows_pad + row] |= 1u64 << shift;
-                }
-            }
+        debug_assert_eq!(code.len(), self.tables.stages);
+        self.packable[row] = !self.tables.degenerate();
+        for (w, chunk) in code.chunks(64).enumerate() {
+            self.store_words(row, w, chunk);
         }
     }
 
-    /// Heap bytes this packed view keeps resident: both plane layouts,
-    /// the digest and decoded tables, and the count-indexed
-    /// reconstruction tables. The figure the corpus tier's snapshot
-    /// cache charges against its resident-byte budget.
+    /// Writes the plane words of `row`'s stages `64·w ..` from their
+    /// codes, every bit plane overwritten.
+    #[inline]
+    fn store_words(&mut self, row: usize, w: usize, codes: &[u8]) {
+        let planes = plane_words(codes, self.bits);
+        for (b, &word) in planes.iter().enumerate().take(self.bits) {
+            self.lane_planes[(w * self.bits + b) * self.rows_pad + row] = word;
+        }
+    }
+
+    /// Reads `row`'s `stages` level codes back out of the planes into
+    /// `out` — exact, since the planes hold every code bit.
+    pub(crate) fn unpack_row(&self, row: usize, out: &mut [u8]) {
+        debug_assert!(row < self.rows);
+        debug_assert_eq!(out.len(), self.tables.stages);
+        for (j, code) in out.iter_mut().enumerate() {
+            let word = |b: usize| self.lane_planes[(j / 64 * self.bits + b) * self.rows_pad + row];
+            *code = (0..self.bits).fold(0, |v, b| v | (((word(b) >> (j % 64)) & 1) as u8) << b);
+        }
+    }
+
+    /// Heap bytes this view keeps to itself — its planes and packability
+    /// flags, not the shared tables. The corpus tier's snapshot cache
+    /// charges this figure, for a shard snapshot and a standalone array
+    /// alike.
     pub fn resident_bytes(&self) -> usize {
-        (self.planes.len() + self.lane_planes.len()) * 8
-            + self.digests.len() * std::mem::size_of::<RowDigest>()
-            + self.decoded_table.len() * 4
-            + (self.step_delay.len() + self.cum_cap_energy.len() + self.cum_mn_energy.len()) * 8
-            + (self.even_mask.len() + self.odd_mask.len()) * 8
-            + self.packable.len()
+        self.lane_planes.len() * 8 + self.packable.len()
     }
 
     /// Number of rows in the packed view.
@@ -684,12 +766,7 @@ impl PackedArray {
 
     /// Number of stages per row.
     pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// `u64` words per bit plane (`stages / 64`, rounded up).
-    pub fn words(&self) -> usize {
-        self.words
+        self.tables.stages
     }
 
     /// Whether `row` is served by the kernel (false: behavioral fallback).
@@ -770,25 +847,17 @@ impl PackedArray {
         }
     }
 
-    /// Word-chunked, branchless query broadcast into one slot's planes:
-    /// accumulate each plane word in a register, then store every word
-    /// unconditionally (which is what keeps a reused — or torn — scratch
-    /// fully overwritten).
+    /// Word-chunked, branchless query broadcast into one slot's planes
+    /// (the same transposition that writes stored rows): every word is
+    /// stored unconditionally, which is what keeps a reused — or torn —
+    /// scratch fully overwritten.
     fn expand_into(&self, query: &[u8], out: &mut [u64]) {
-        debug_assert_eq!(query.len(), self.stages);
+        debug_assert_eq!(query.len(), self.tables.stages);
         debug_assert_eq!(out.len(), self.bits * self.words);
-        let words = self.words;
         for (w, chunk) in query.chunks(64).enumerate() {
-            let mut acc = [0u64; 4];
-            for (j, &q) in chunk.iter().enumerate() {
-                let mut v = q as u64;
-                for a in acc.iter_mut().take(self.bits) {
-                    *a |= (v & 1) << j;
-                    v >>= 1;
-                }
-            }
-            for (b, &a) in acc.iter().enumerate().take(self.bits) {
-                out[b * words + w] = a;
+            let planes = plane_words(chunk, self.bits);
+            for (b, &word) in planes.iter().enumerate().take(self.bits) {
+                out[b * self.words + w] = word;
             }
         }
     }
@@ -815,8 +884,8 @@ impl PackedArray {
         } = scratch;
         let args = KernelArgs {
             lanes: &self.lane_planes,
-            even_mask: &self.even_mask,
-            odd_mask: &self.odd_mask,
+            even_mask: &self.tables.even_mask,
+            odd_mask: &self.tables.odd_mask,
             bits: self.bits,
             words: self.words,
             rows_pad: self.rows_pad,
@@ -862,34 +931,33 @@ impl PackedArray {
     /// odd_mismatches)` of `row` against the query expanded into
     /// `scratch`'s slot 0. `XOR` per bit plane, `OR` across planes,
     /// `count_ones()` under each parity mask — a handful of word ops per
-    /// 64 stages in place of 64 dependent f64 loads. Reads the row-major
-    /// plane copy, independent of the lane layout and the dispatch
-    /// ladder, which is what makes it the anchor the ladder rungs are
-    /// pinned against in `tests/packed_equiv.rs`.
+    /// 64 stages in place of 64 dependent f64 loads. One row at a time,
+    /// independent of the row blocking and the dispatch ladder, which is
+    /// what makes it the anchor the ladder rungs are pinned against in
+    /// `tests/packed_equiv.rs`.
     ///
     /// Only meaningful for rows where [`PackedArray::is_packed`] holds;
     /// callers route other rows to the behavioral model.
     pub fn row_mismatches(&self, row: usize, scratch: &PackedScratch) -> (usize, usize) {
         debug_assert!(row < self.rows);
-        let base = row * self.bits * self.words;
-        let words = self.words;
+        let (bits, words) = (self.bits, self.words);
         let mut even = 0usize;
         let mut odd = 0usize;
         for w in 0..words {
             let mut diff = 0u64;
-            for b in 0..self.bits {
-                diff |= self.planes[base + b * words + w] ^ scratch.q_planes[b * words + w];
+            for b in 0..bits {
+                diff |= self.lane_planes[(w * bits + b) * self.rows_pad + row]
+                    ^ scratch.q_planes[b * words + w];
             }
-            even += (diff & self.even_mask[w]).count_ones() as usize;
-            odd += (diff & self.odd_mask[w]).count_ones() as usize;
+            even += (diff & self.tables.even_mask[w]).count_ones() as usize;
+            odd += (diff & self.tables.odd_mask[w]).count_ones() as usize;
         }
         (even, odd)
     }
 
     /// Reconstructs the full [`ChainResult`] from the per-parity counts.
     pub fn reconstruct(&self, even: usize, odd: usize) -> ChainResult {
-        let d = self.digest(even, odd);
-        self.chain_result(even, odd, &d)
+        self.digitize(even, odd).0.chain
     }
 
     /// Digitizes `(even, odd)` into the per-row search outcome — the
@@ -897,10 +965,10 @@ impl PackedArray {
     /// row result and its TDC conversion energy (accumulated separately
     /// at array scope).
     pub(crate) fn digitize(&self, even: usize, odd: usize) -> (RowResult, f64) {
-        let d = self.digest(even, odd);
+        let d = self.tables.digest(even, odd);
         (
             RowResult {
-                chain: self.chain_result(even, odd, &d),
+                chain: self.tables.chain_result(even, odd, &d),
                 count: d.count,
                 decoded_mismatches: d.decoded,
             },
@@ -911,55 +979,9 @@ impl PackedArray {
     /// The decoded distance for `(even, odd)` mismatch counts — the
     /// digest's TDC decode alone, served from the dense companion table
     /// so the decision-only path touches 4 bytes per row, not 48.
+    #[inline]
     pub(crate) fn decoded(&self, even: usize, odd: usize) -> usize {
-        debug_assert!(even <= self.max_even && odd <= self.max_odd);
-        if self.decoded_table.is_empty() {
-            self.compute_digest(even, odd).decoded
-        } else {
-            self.decoded_table[even * (self.max_odd + 1) + odd] as usize
-        }
-    }
-
-    fn chain_result(&self, even: usize, odd: usize, d: &RowDigest) -> ChainResult {
-        let mismatches = even + odd;
-        ChainResult {
-            rising_delay: d.rising,
-            falling_delay: d.falling,
-            total_delay: d.total,
-            mismatches,
-            even_mismatches: even,
-            odd_mismatches: odd,
-            energy: EnergyBreakdown {
-                inverters: self.inverter_energy,
-                load_caps: self.cum_cap_energy[mismatches],
-                match_nodes: self.cum_mn_energy[mismatches],
-                search_lines: self.search_line_energy,
-                ..EnergyBreakdown::default()
-            },
-        }
-    }
-
-    fn digest(&self, even: usize, odd: usize) -> RowDigest {
-        debug_assert!(even <= self.max_even && odd <= self.max_odd);
-        if self.digests.is_empty() {
-            self.compute_digest(even, odd)
-        } else {
-            self.digests[even * (self.max_odd + 1) + odd]
-        }
-    }
-
-    fn compute_digest(&self, even: usize, odd: usize) -> RowDigest {
-        let rising = self.step_delay[even];
-        let falling = self.step_delay[odd];
-        let total = rising + falling;
-        RowDigest {
-            rising,
-            falling,
-            total,
-            count: self.tdc.convert(total),
-            decoded: self.tdc.decode_mismatches(&self.timing, self.stages, total),
-            tdc_energy: self.tdc.conversion_energy(total),
-        }
+        self.tables.decoded(even, odd)
     }
 }
 
@@ -1111,13 +1133,14 @@ mod tests {
     #[test]
     fn digest_table_and_on_the_fly_paths_agree() {
         let am = seeded_array(2, 33, 2, 7);
-        let mut packed = PackedArray::build(&am, &BTreeSet::new());
-        assert!(!packed.digests.is_empty(), "33 stages fits the table");
-        let table = packed.clone();
-        packed.digests.clear();
-        for even in 0..=packed.max_even {
-            for odd in 0..=packed.max_odd {
-                assert_eq!(packed.digest(even, odd), table.digest(even, odd));
+        let packed = PackedArray::build(&am, &BTreeSet::new());
+        let table = &packed.tables;
+        assert!(!table.digests.is_empty(), "33 stages fits the table");
+        let mut on_the_fly = Tables::clone(table);
+        on_the_fly.digests.clear();
+        for even in 0..=table.max_even {
+            for odd in 0..=table.max_odd {
+                assert_eq!(on_the_fly.digest(even, odd), table.digest(even, odd));
             }
         }
     }
@@ -1155,7 +1178,6 @@ mod tests {
             packed.repack_row(&am, row);
         }
         let rebuilt = PackedArray::build(&am, &masked);
-        assert_eq!(packed.planes, rebuilt.planes);
         assert_eq!(packed.lane_planes, rebuilt.lane_planes);
         assert_eq!(packed.packable, rebuilt.packable);
     }
@@ -1178,12 +1200,14 @@ mod tests {
                 let enc = am.config().encoding;
                 let direct = PackedArray::from_codes(enc, stages, am.timing(), am.tdc(), &codes);
                 let reference = PackedArray::build(&am, &BTreeSet::new());
-                assert_eq!(direct.planes, reference.planes, "{bits}b {stages}st");
-                assert_eq!(direct.lane_planes, reference.lane_planes);
+                assert_eq!(
+                    direct.lane_planes, reference.lane_planes,
+                    "{bits}b {stages}st"
+                );
                 assert_eq!(direct.packable, reference.packable);
-                assert_eq!(direct.even_mask, reference.even_mask);
-                assert_eq!(direct.odd_mask, reference.odd_mask);
-                assert_eq!(direct.decoded_table, reference.decoded_table);
+                assert_eq!(direct.tables.even_mask, reference.tables.even_mask);
+                assert_eq!(direct.tables.odd_mask, reference.tables.odd_mask);
+                assert_eq!(direct.tables.decoded_table, reference.tables.decoded_table);
                 // Surgical code repack matches a fresh slab build too.
                 let mut patched = direct.clone();
                 let levels = enc.levels() as u64;
@@ -1195,7 +1219,6 @@ mod tests {
                 new_codes[2 * stages..3 * stages].copy_from_slice(&new_row);
                 let reslabbed =
                     PackedArray::from_codes(enc, stages, am.timing(), am.tdc(), &new_codes);
-                assert_eq!(patched.planes, reslabbed.planes);
                 assert_eq!(patched.lane_planes, reslabbed.lane_planes);
                 assert!(patched.resident_bytes() > 0);
             }
@@ -1229,7 +1252,6 @@ mod tests {
         packed.repack_row(&am, 1);
         assert!(packed.is_packed(1));
         let rebuilt = PackedArray::build(&am, &BTreeSet::new());
-        assert_eq!(packed.planes, rebuilt.planes);
         assert_eq!(packed.lane_planes, rebuilt.lane_planes);
     }
 
@@ -1251,5 +1273,70 @@ mod tests {
             assert_eq!(packed.is_packed(row), nominal, "row {row}");
         }
         assert_eq!(packed.packed_rows(), 2, "only the perturbed row falls back");
+    }
+
+    /// SplitMix64-derived codes for a `rows × stages` slab of `bits`-bit
+    /// levels.
+    fn seeded_codes(bits: u8, stages: usize, rows: usize, seed: u64) -> Vec<u8> {
+        let levels = 1u64 << bits;
+        (0..rows * stages)
+            .map(|i| {
+                let mut z = (seed ^ i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % levels) as u8
+            })
+            .collect()
+    }
+
+    /// The planes are the storage: unpacking returns the written codes
+    /// exactly at every encoding and at widths around every word
+    /// boundary, and an array grown by run copies and then written
+    /// equals a fresh slab build of the same codes.
+    #[test]
+    fn lane_planes_round_trip_codes_and_grow_like_a_fresh_build() {
+        let am = seeded_array(2, 8, 1, 1);
+        for bits in 1..=4u8 {
+            let enc = Encoding::new(bits).unwrap();
+            for stages in [1usize, 31, 32, 63, 64, 65, 128, 130] {
+                let (rows, grown) = (13, 29);
+                let codes = seeded_codes(bits, stages, grown, (bits as u64) << 16 ^ stages as u64);
+                let (head, tail) = codes.split_at(rows * stages);
+                let mut packed = PackedArray::from_codes(enc, stages, am.timing(), am.tdc(), head);
+                let mut out = vec![0u8; stages];
+                for (row, code) in head.chunks_exact(stages).enumerate() {
+                    packed.unpack_row(row, &mut out);
+                    assert_eq!(out, code, "{bits}b {stages}st row {row}");
+                }
+                packed.grow(grown);
+                for (i, code) in tail.chunks_exact(stages).enumerate() {
+                    packed.repack_row_codes(rows + i, code);
+                }
+                let fresh = PackedArray::from_codes(enc, stages, am.timing(), am.tdc(), &codes);
+                assert_eq!((packed.rows, packed.rows_pad), (fresh.rows, fresh.rows_pad));
+                assert_eq!(packed.lane_planes, fresh.lane_planes, "{bits}b {stages}st");
+                assert_eq!(packed.packable, fresh.packable);
+                for (row, code) in codes.chunks_exact(stages).enumerate() {
+                    packed.unpack_row(row, &mut out);
+                    assert_eq!(out, code, "{bits}b {stages}st grown row {row}");
+                }
+            }
+        }
+    }
+
+    /// A blank array sharing another's tables is a zero slab of the same
+    /// calibration, and cloning shares the tables instead of copying them.
+    #[test]
+    fn blank_like_shares_tables_and_equals_a_zero_slab() {
+        let am = seeded_array(2, 40, 1, 1);
+        let enc = am.config().encoding;
+        let base = PackedArray::from_codes(enc, 40, am.timing(), am.tdc(), &[1u8; 40]);
+        let blank = base.blank_like(70);
+        let zeros = PackedArray::from_codes(enc, 40, am.timing(), am.tdc(), &[0u8; 70 * 40]);
+        assert_eq!(blank.lane_planes, zeros.lane_planes);
+        assert_eq!(blank.packable, zeros.packable);
+        assert!(Arc::ptr_eq(&blank.tables, &base.tables));
+        assert!(Arc::ptr_eq(&blank.clone().tables, &base.tables));
+        assert_eq!(blank.resident_bytes(), zeros.resident_bytes());
     }
 }

@@ -387,14 +387,16 @@ pub struct RuntimeStats {
     /// Corpus-tier shard-snapshot cache hits (probe found the shard
     /// already resident).
     pub corpus_cache_hits: usize,
-    /// Corpus-tier shard-snapshot cache misses (probe had to compile
-    /// the shard's packed snapshot).
+    /// Corpus-tier shard-snapshot cache misses (probe had to page the
+    /// shard's packed planes in).
     pub corpus_cache_misses: usize,
     /// Corpus-tier shard snapshots evicted to stay under the
     /// resident-byte budget.
     pub corpus_cache_evictions: usize,
-    /// Cumulative microseconds spent compiling corpus-tier shard
-    /// snapshots on cache misses.
+    /// Cumulative microseconds spent paging corpus-tier shard snapshots
+    /// in on cache misses: one copy of the shard's stored lane planes
+    /// each. The name dates from when a miss recompiled the shard from
+    /// its codes; it is kept for wire and store compatibility.
     pub corpus_compile_micros: usize,
 }
 

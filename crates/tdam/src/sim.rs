@@ -304,17 +304,17 @@ impl SimConfig {
         cfg
     }
 
-    /// The corpus side-track's configuration: tiny shards and a
-    /// deliberately small snapshot-cache budget, so even a short
-    /// campaign exercises cache hits, misses, and evictions.
-    fn corpus_config(&self) -> CorpusConfig {
+    /// The corpus side-track's configuration: tiny shards, and a
+    /// snapshot-cache budget [`SimWorld::new`] sizes from a measured
+    /// snapshot.
+    fn corpus_config(&self, cache_budget_bytes: usize) -> CorpusConfig {
         CorpusConfig {
             array: ArrayConfig::paper_default().with_stages(self.stages),
             shard_rows: 8,
             nprobe: 2,
             train_iters: 2,
             train_sample: 128,
-            cache_budget_bytes: 16 << 10,
+            cache_budget_bytes,
             seed: self.seed,
             threads: Some(1),
         }
@@ -413,6 +413,8 @@ pub struct SimReport {
     pub corpus_judged: usize,
     /// Corpus-tier mutations applied (row updates + appends).
     pub corpus_mutations: usize,
+    /// Corpus-tier snapshot-cache evictions.
+    pub corpus_evictions: usize,
     /// Judged violations (must be zero outside sabotage runs).
     pub failures: Vec<SimFailure>,
 }
@@ -624,11 +626,18 @@ impl SimWorld {
 
         let corpus_track = if cfg.corpus_rows > 0 {
             let rows = derive_clustered_rows(cfg, serve_cfg.array.encoding);
-            let mut builder = CorpusBuilder::new(cfg.corpus_config()).map_err(ServeError::Sim)?;
-            builder.append_rows(&rows).map_err(ServeError::Sim)?;
-            let engine = builder
-                .build_with_clock(Clock::sim(&clock))
-                .map_err(ServeError::Sim)?;
+            let build = |budget| {
+                let mut builder = CorpusBuilder::new(cfg.corpus_config(budget))?;
+                builder.append_rows(&rows)?;
+                builder.build_with_clock(Clock::sim(&clock))
+            };
+            // Budget four and a half snapshots, measured on a probe
+            // build: fewer than the track's shards, so even a short
+            // campaign exercises cache hits, misses, and evictions.
+            let mut probe = build(usize::MAX).map_err(ServeError::Sim)?;
+            probe.search_topk(&rows[0], 1).map_err(ServeError::Sim)?;
+            let snapshot = probe.status().resident_bytes / probe.status().resident;
+            let engine = build(4 * snapshot + snapshot / 2).map_err(ServeError::Sim)?;
             Some(CorpusTrack {
                 engine,
                 shadow: rows,
@@ -785,10 +794,10 @@ impl SimWorld {
 
     /// Churns the corpus side-track under the same mutation event: one
     /// row update plus one append, derived from the mutation's hash
-    /// stream and mirrored in the track's shadow. Updates invalidate
-    /// (surgically repack) resident snapshots; appends can grow a shard
-    /// past its packed capacity and force a recompile — both paths the
-    /// restricted judge must then re-verify.
+    /// stream and mirrored in the track's shadow. Updates repack the
+    /// stored planes (and a resident copy); appends can grow a shard's
+    /// planes past their capacity and drop its resident copy — both
+    /// paths the restricted judge must then re-verify.
     fn mutate_corpus(&mut self, step: usize, h: u64) {
         let Some(mut track) = self.corpus.take() else {
             return;
@@ -1201,6 +1210,9 @@ impl SimWorld {
             .iter()
             .map(|s| s.stats.scrub_heals)
             .sum();
+        if let Some(track) = &self.corpus {
+            self.report.corpus_evictions = track.engine.stats().corpus_cache_evictions;
+        }
         self.report
     }
 }
@@ -1478,6 +1490,8 @@ pub struct SimCampaignReport {
     pub corpus_judged: usize,
     /// Corpus-tier mutations applied.
     pub corpus_mutations: usize,
+    /// Corpus-tier snapshot-cache evictions.
+    pub corpus_evictions: usize,
     /// Seeds whose run recorded a violation (must be empty).
     pub failing_seeds: Vec<u64>,
 }
@@ -1516,6 +1530,7 @@ pub fn run_sim_campaign(
         agg.judged += report.judged;
         agg.corpus_judged += report.corpus_judged;
         agg.corpus_mutations += report.corpus_mutations;
+        agg.corpus_evictions += report.corpus_evictions;
         if report.failed() {
             agg.failing_seeds.push(cfg.seed);
         }

@@ -1042,12 +1042,11 @@ impl Codec for CorpusTierStatus {
 }
 
 /// Serializes a corpus engine's durable state — config, timing
-/// calibration, centroid table, shard manifests (per-shard codes + id
-/// lists), and counters — into a framed file image with the same
-/// magic/version/length/CRC framing as [`encode_checkpoint`]. The
-/// snapshot cache is *not* serialized: it is derived state, and the
-/// [`PackedArray::from_codes`](crate::packed::PackedArray::from_codes)
-/// contract recompiles it bit-identically on demand.
+/// calibration, centroid table, shard manifests (per-shard codes
+/// unpacked from the stored planes + id lists), and counters — into a
+/// framed file image with the same magic/version/length/CRC framing as
+/// [`encode_checkpoint`]. The snapshot cache is *not* serialized: its
+/// entries are copies of the stored planes, which loading packs again.
 pub fn encode_corpus(engine: &CorpusEngine) -> Vec<u8> {
     let (cfg, timing, centroids, clusters, stats) = engine.persistent_parts();
     let mut w = Writer::new();

@@ -1,8 +1,9 @@
 //! Integration pins for the two-tier corpus engine: the recall gate on
 //! a CI-sized clustered corpus, LRU-eviction bit-identity, kernel-rung
 //! equivalence of the exact re-rank tier and its top-k select (ties,
-//! edge-case `k`, post-build writes), and the serve stats endpoint
-//! surfacing the snapshot-cache counters.
+//! edge-case `k`, post-build writes to resident and to cold shards), the
+//! serve stats endpoint surfacing the snapshot-cache counters, and the
+//! corpus checkpoint's byte format.
 //!
 //! The full-sized (1M-row) versions of the recall and speedup gates
 //! live in `ext_corpus` (see EXPERIMENTS.md); these tests pin the same
@@ -12,11 +13,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use tdam::clock::{Clock, SimClock};
 use tdam::corpus::{CorpusBuilder, CorpusConfig, CorpusEngine, ProbedTopK};
 use tdam::packed::PackedKernel;
 use tdam::serve::{
     brute_force_topk, seeded_corpus, FrontEnd, ServeClient, ServeConfig, ShardedService,
 };
+use tdam::store::{crc32, decode_corpus, encode_corpus};
 use tdam::{ArrayConfig, Encoding};
 
 /// SplitMix64 finalizer — the repo-wide seeding discipline.
@@ -118,8 +121,8 @@ fn recall_at_10_exceeds_095_on_ci_sized_corpus() {
     assert!(recall >= 0.95, "recall@10 = {recall:.3} ({hit}/{total})");
 }
 
-/// Evicted shards must recompile bit-identically: a cache starved down
-/// to one resident snapshot returns the same full ranking as a cache
+/// Evicted shards must page back in bit-identically: a cache starved
+/// down to one resident snapshot returns the same full ranking as a cache
 /// that never evicts, across repeated passes.
 #[test]
 fn evicted_shards_recompile_bit_identically() {
@@ -151,7 +154,7 @@ fn evicted_shards_recompile_bit_identically() {
         for i in 0..4u64 {
             let q = perturbed_query(&corpus, levels, 0xAB ^ i, i);
             // Full ranking: every row's exact distance is compared, so
-            // a single bit of recompile drift would surface.
+            // a single bit of page-in drift would surface.
             let a = roomy.search_topk(&q, rows).expect("roomy search");
             let b = starved.search_topk(&q, rows).expect("starved search");
             assert_eq!(a, b, "pass {pass} query {i}: eviction changed the ranking");
@@ -201,7 +204,7 @@ fn assert_rerank_matches_restricted_brute_force(
         let mut engine = build_engine(cfg, corpus);
         assert!(engine.set_kernel(rung), "{rung:?} reported available");
         // Resident snapshots take the writes as surgical repacks; cold
-        // shards take them at their next compile.
+        // shards take them in their stored planes only.
         for q in queries {
             engine.search_topk(q, 1).expect("warm-up search");
         }
@@ -313,6 +316,111 @@ fn rerank_breaks_ties_like_brute_force_after_appends_and_updates() {
     assert_rerank_matches_restricted_brute_force(cfg, &corpus, &writes, &queries);
 }
 
+/// Writes to shards that are not resident land in the stored planes
+/// alone: updates and appends (every shard starts full, so each shard's
+/// first append re-strides its planes past `capacity_for`) reach a cold
+/// engine, and its answers are then checked as the shards page in, get
+/// evicted by a one-snapshot budget and page in again. Every answer on
+/// every rung equals brute force restricted to the probed shards, and
+/// every row reads back its written codes.
+#[test]
+fn cold_shard_writes_survive_page_in_eviction_and_reprobe_on_every_kernel_rung() {
+    let stages = 16;
+    let array = ArrayConfig::paper_default().with_stages(stages);
+    let levels = u64::from(array.encoding.levels());
+    let corpus = clustered(1024, stages, 8, 10, levels, 0xC01D);
+    let cfg = CorpusConfig {
+        array,
+        shard_rows: 64,
+        nprobe: 3,
+        train_iters: 2,
+        train_sample: 512,
+        cache_budget_bytes: 1,
+        seed: 13,
+        threads: Some(2),
+    };
+    let extra = clustered(160, stages, 8, 10, levels, 0xA99E);
+    let mut writes: Vec<Write> = extra.iter().cloned().map(Write::Append).collect();
+    for i in 0..96u64 {
+        let h = splitmix(0x0C01D ^ i);
+        let id = (h % 1024) as usize;
+        writes.push(Write::Update(id, perturbed_query(&corpus, levels, h, i)));
+    }
+    let mut queries: Vec<Vec<u8>> = (0..8u64)
+        .map(|i| perturbed_query(&extra, levels, 0xE7A, i))
+        .collect();
+    queries.extend(writes.iter().rev().take(8).map(|w| match w {
+        Write::Append(v) | Write::Update(_, v) => v.clone(),
+    }));
+
+    let rungs = [
+        PackedKernel::Scalar,
+        PackedKernel::Unrolled,
+        PackedKernel::Simd,
+    ];
+    let mut reference: Option<Vec<ProbedTopK>> = None;
+    for rung in rungs {
+        if !rung.is_available() {
+            continue;
+        }
+        let mut engine = build_engine(cfg, &corpus);
+        assert!(engine.set_kernel(rung), "{rung:?} reported available");
+        assert!((0..engine.shards()).all(|c| engine.shard_len(c) == 64));
+        let mut rows = corpus.clone();
+        for write in &writes {
+            match write {
+                Write::Append(v) => {
+                    assert_eq!(engine.append_row(v).expect("append"), rows.len());
+                    rows.push(v.clone());
+                }
+                Write::Update(id, v) => {
+                    engine.update_row(*id, v).expect("update");
+                    rows[*id] = v.clone();
+                }
+            }
+        }
+        let status = engine.status();
+        assert_eq!(status.resident, 0, "a write paged a shard in");
+        assert_eq!(status.stats.incremental_repacks, 0);
+        for (id, row) in rows.iter().enumerate() {
+            assert_eq!(engine.row_codes(id).as_ref(), Some(row), "row {id}");
+        }
+
+        let mut answers = Vec::new();
+        for pass in 0..2 {
+            for (i, q) in queries.iter().enumerate() {
+                let (_, probed) = engine.search_topk_probed(q, 0).expect("probe");
+                let mut ranked = Vec::new();
+                for &c in &probed {
+                    for &id in engine.shard_ids(c) {
+                        let id = id as usize;
+                        let d = array.encoding.hamming(&rows[id], q).expect("oracle");
+                        ranked.push((d, id));
+                    }
+                }
+                ranked.sort_unstable();
+                for k in [1, 8, usize::MAX] {
+                    let got = engine.search_topk_probed(q, k).expect("search");
+                    assert_eq!(
+                        got.0,
+                        ranked[..k.min(ranked.len())],
+                        "{rung:?} pass {pass} query {i} k={k}: diverged from restricted brute force"
+                    );
+                    answers.push(got);
+                }
+            }
+        }
+        let stats = engine.status().stats;
+        assert!(stats.corpus_cache_evictions > 0, "budget never evicted");
+        assert_eq!(engine.status().resident, 1);
+        match &reference {
+            None => reference = Some(answers),
+            Some(r) => assert_eq!(&answers, r, "{rung:?} diverged from the first rung"),
+        }
+    }
+    assert!(reference.is_some(), "no kernel rung available");
+}
+
 /// The serve stats endpoint surfaces the corpus tier's snapshot-cache
 /// counters over the wire (the ISSUE's observability criterion).
 #[test]
@@ -354,11 +462,60 @@ fn serve_stats_endpoint_surfaces_snapshot_cache_counters() {
     let tier = stats.corpus.expect("corpus tier status on the wire");
     assert_eq!(tier.rows, 64);
     assert_eq!(tier.nprobe, 2);
-    assert!(tier.stats.corpus_cache_misses > 0, "no compiles counted");
+    assert!(tier.stats.corpus_cache_misses > 0, "no misses counted");
     assert!(
         tier.stats.corpus_cache_evictions > 0,
         "starved cache never evicted"
     );
     assert!(tier.resident_bytes > 0);
     front.shutdown();
+}
+
+/// Checkpoints keep store format v5 byte-for-byte: the image of a
+/// seeded small corpus (built, queried, updated and grown on virtual
+/// time, so no wall-clock figure enters the counters) hashes to the
+/// value the format has always produced, and a load-save round trip
+/// returns the same bytes.
+#[test]
+fn corpus_checkpoint_format_is_pinned() {
+    let stages = 16;
+    let array = ArrayConfig::paper_default().with_stages(stages);
+    let levels = u64::from(array.encoding.levels());
+    let corpus = clustered(300, stages, 6, 10, levels, 0xC4EC);
+    let cfg = CorpusConfig {
+        array,
+        shard_rows: 32,
+        nprobe: 3,
+        train_iters: 2,
+        train_sample: 128,
+        cache_budget_bytes: 1 << 20,
+        seed: 3,
+        threads: Some(2),
+    };
+    let mut builder = CorpusBuilder::new(cfg).expect("config validates");
+    builder.append_rows(&corpus).expect("rows ingest");
+    let mut engine = builder
+        .build_with_clock(Clock::sim(&SimClock::new()))
+        .expect("build");
+    for i in 0..8u64 {
+        let q = perturbed_query(&corpus, levels, 0xC4, i);
+        engine.search_topk(&q, 5).expect("search");
+    }
+    for row in clustered(40, stages, 6, 10, levels, 0xADD) {
+        engine.append_row(&row).expect("append");
+    }
+    for i in 0..16u64 {
+        let id = (splitmix(0x0DD ^ i) % 300) as usize;
+        engine
+            .update_row(id, &corpus[(id * 7) % 300])
+            .expect("update");
+    }
+    let bytes = encode_corpus(&engine);
+    assert_eq!((bytes.len(), crc32(&bytes)), (9044, 0xb3d3_c7bd));
+    let back = decode_corpus(&bytes, Clock::wall()).expect("decode");
+    assert_eq!(
+        encode_corpus(&back),
+        bytes,
+        "load-save round trip moved bytes"
+    );
 }

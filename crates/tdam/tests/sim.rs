@@ -224,7 +224,7 @@ fn aged_checkpoint_restores_vth_bit_exact_and_monitors_still_flag() {
 /// to the probed shards, and live mutations churn the tier (snapshot
 /// invalidation + shard growth past packed capacity). The judge is the
 /// ISSUE contract — the exact re-rank must stay bit-identical under
-/// cache eviction, recompile, and mutation.
+/// cache eviction, page-in, and mutation.
 #[test]
 fn corpus_track_campaign_judges_restricted_rerank_exactly() {
     let mut cfg = SimConfig::quick(3);
@@ -241,11 +241,20 @@ fn corpus_track_campaign_judges_restricted_rerank_exactly() {
         report.corpus_judged
     );
     assert!(report.corpus_mutations > 0, "no corpus mutations landed");
+    // The budget holds fewer snapshots than the track has shards, so
+    // the judge also covers the evict and re-page-in path.
+    assert!(
+        report.corpus_evictions >= report.corpus_judged / 4,
+        "corpus cache stopped evicting: {} evictions over {} queries",
+        report.corpus_evictions,
+        report.corpus_judged
+    );
     // With the side-track disabled, its counters must stay at zero.
     cfg.corpus_rows = 0;
     let off = run_sim_campaign(&cfg, 0xBEEF, 2).expect("campaign runs");
     assert_eq!(off.corpus_judged, 0);
     assert_eq!(off.corpus_mutations, 0);
+    assert_eq!(off.corpus_evictions, 0);
 }
 
 /// Corpus-enabled worlds replay bit-identically too: the side-track's
