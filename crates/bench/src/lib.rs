@@ -16,10 +16,9 @@
 //! | `ablation_two_step` | Design ablation: 2-step scheme vs naive single-pass chain |
 //! | `ext_fault_campaign` | Extension: fault-rate sweeps with/without detection + spare-row repair |
 //! | `ext_batch_throughput` | Extension: batched packed-kernel serving vs sequential search, plus the pipelined cycle model |
-//! | `ext_chaos_availability` | Extension: serving-runtime availability under injected cell faults + worker panics |
 //! | `ext_recovery` | Extension: crash-injection campaign over the checkpoint/journal store + warm-start restore |
-//! | `ext_serve_scale` | Extension: sharded TCP serving front-end — load sweep, guaranteed shedding, warm-standby failover |
-//! | `ext_mutation` | Extension: online mutation — incremental repack cost, p99 under a live write mix, mutation-chaos correctness campaign |
+//! | `ext_serve_scale` | Extension: sharded TCP serving front-end — load sweep and guaranteed shedding |
+//! | `ext_mutation` | Extension: online mutation — incremental repack cost and p99 under a live write mix |
 //! | `ext_corpus` | Extension: million-row two-tier corpus search vs flat packed brute force |
 //!
 //! `benches/` contains Criterion micro-benchmarks of the underlying

@@ -33,8 +33,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "power" => power(args),
         "faults" => faults(args),
         "bench-batch" => bench_batch(args),
-        "serve-chaos" => serve_chaos(args),
-        "mutate-chaos" => mutate_chaos(args),
         "checkpoint" => checkpoint(args),
         "restore" => restore(args),
         "serve" => serve(args),
@@ -354,158 +352,6 @@ fn bench_batch(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-fn serve_chaos(args: &Args) -> Result<String, CliError> {
-    use tdam::runtime::{run_chaos, ChaosConfig, DeadlinePolicy};
-
-    let mut cfg = ChaosConfig::paper_default();
-    let stages = args.usize_or("stages", cfg.array.stages)?;
-    let rows = args.usize_or("rows", cfg.array.rows)?;
-    cfg.array = base_config(args)?.with_stages(stages).with_rows(rows);
-    cfg.resilience.spare_rows = args.usize_or("spares", cfg.resilience.spare_rows)?;
-    cfg.batches = args.usize_or("batches", cfg.batches)?;
-    cfg.batch_size = args.usize_or("batch", cfg.batch_size)?;
-    cfg.fault_rate = args.f64_or("fault-rate", cfg.fault_rate)?;
-    cfg.panic_rate = args.f64_or("panic-rate", cfg.panic_rate)?;
-    cfg.seed = args.usize_or("seed", cfg.seed as usize)? as u64;
-    for (name, rate) in [
-        ("fault-rate", cfg.fault_rate),
-        ("panic-rate", cfg.panic_rate),
-    ] {
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(CliError::Usage(format!(
-                "--{name} is a probability and must be in 0..=1, got {rate}"
-            )));
-        }
-    }
-    if args.get("deadline-queries").is_some() {
-        cfg.runtime.deadline = DeadlinePolicy::QueryBudget(args.usize_or("deadline-queries", 0)?);
-    }
-    let report = run_chaos(&cfg)?;
-    Ok(format!(
-        "chaos campaign: {rows}x{stages} array, {} spares, seed {:#x}\n\
-         {} batches x {} queries, fault rate {:.2}%, panic rate {:.2}%\n\
-         availability: {:.2}%  ({} answered, {} timed out, {} failed of {})\n\
-         correctness: {} wrong, {} silent wrong, {} flagged degraded\n\
-         faults injected: {}   final backend: {:?} ({:?})\n\
-         runtime: {} retries ({} backoff waits), {} breaker trips, {} recompiles, \
-         {} health checks ({} missed), {} repairs, {} demotions, {} promotions\n",
-        cfg.resilience.spare_rows,
-        cfg.seed,
-        cfg.batches,
-        cfg.batch_size,
-        cfg.fault_rate * 100.0,
-        cfg.panic_rate * 100.0,
-        report.availability() * 100.0,
-        report.answered,
-        report.timed_out,
-        report.failed,
-        report.total_queries,
-        report.wrong,
-        report.silent_wrong,
-        report.degraded_answers,
-        report.faults_injected,
-        report.final_backend,
-        report.final_degradation,
-        report.stats.retries,
-        report.stats.backoff_waits,
-        report.stats.breaker_trips,
-        report.stats.recompiles,
-        report.stats.health_checks,
-        report.stats.health_misses,
-        report.stats.repairs,
-        report.stats.demotions,
-        report.stats.promotions
-    ))
-}
-
-fn mutate_chaos(args: &Args) -> Result<String, CliError> {
-    use tdam::runtime::{run_mutation_chaos, DeadlinePolicy, MutationChaosConfig};
-
-    let mut cfg = MutationChaosConfig::paper_default();
-    let stages = args.usize_or("stages", cfg.array.stages)?;
-    let rows = args.usize_or("rows", cfg.array.rows)?;
-    cfg.array = base_config(args)?.with_stages(stages).with_rows(rows);
-    cfg.resilience.spare_rows = args.usize_or("spares", cfg.resilience.spare_rows)?;
-    cfg.batches = args.usize_or("batches", cfg.batches)?;
-    cfg.batch_size = args.usize_or("batch", cfg.batch_size)?;
-    cfg.writes_per_batch = args.usize_or("writes", cfg.writes_per_batch)?;
-    cfg.fault_rate = args.f64_or("fault-rate", cfg.fault_rate)?;
-    cfg.panic_rate = args.f64_or("panic-rate", cfg.panic_rate)?;
-    cfg.seed = args.usize_or("seed", cfg.seed as usize)? as u64;
-    for (name, rate) in [
-        ("fault-rate", cfg.fault_rate),
-        ("panic-rate", cfg.panic_rate),
-    ] {
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(CliError::Usage(format!(
-                "--{name} is a probability and must be in 0..=1, got {rate}"
-            )));
-        }
-    }
-    if args.get("deadline-queries").is_some() {
-        cfg.runtime.deadline = DeadlinePolicy::QueryBudget(args.usize_or("deadline-queries", 0)?);
-    }
-    let report = run_mutation_chaos(&cfg)?;
-    let out = format!(
-        "mutation chaos: {rows}x{stages} array, {} spares, seed {:#x}\n\
-         {} batches x {} queries, {} writes/batch, fault rate {:.2}%, panic rate {:.2}%\n\
-         availability: {:.2}%  ({} answered, {} timed out, {} failed of {})\n\
-         correctness: {} wrong, {} silent wrong, {} flagged degraded (judged against \
-         an independently replayed reference)\n\
-         writes: {} user, {} physical (amplification {:.3}x), {} wear rotations, \
-         {} refresh rewrites\n\
-         repack: {} incremental repacks covering {} rows, {} epoch swaps, {} full recompiles\n\
-         faults injected: {}   final backend: {:?} ({:?})\n",
-        cfg.resilience.spare_rows,
-        cfg.seed,
-        cfg.batches,
-        cfg.batch_size,
-        cfg.writes_per_batch,
-        cfg.fault_rate * 100.0,
-        cfg.panic_rate * 100.0,
-        report.availability() * 100.0,
-        report.answered,
-        report.timed_out,
-        report.failed,
-        report.total_queries,
-        report.wrong,
-        report.silent_wrong,
-        report.degraded_answers,
-        report.user_writes,
-        report.physical_writes,
-        report.write_amplification(),
-        report.wear_rotations,
-        report.refresh_rewrites,
-        report.stats.incremental_repacks,
-        report.stats.rows_repacked,
-        report.stats.epoch_swaps,
-        report
-            .stats
-            .recompiles
-            .saturating_sub(report.stats.incremental_repacks),
-        report.faults_injected,
-        report.final_backend,
-        report.final_degradation,
-    );
-    // The campaign gate: a silently wrong answer is forbidden under any
-    // fault mix, and a pure-mutation campaign (no injected cell faults)
-    // must be *correct* outright. Both are permanent failures — the same
-    // seed will corrupt the same way, so a retry is pointless.
-    if report.silent_wrong > 0 {
-        return Err(CliError::permanent(format!(
-            "{out}FAILED: {} silently wrong answer(s) delivered as nominal",
-            report.silent_wrong
-        )));
-    }
-    if cfg.fault_rate == 0.0 && report.wrong > 0 {
-        return Err(CliError::permanent(format!(
-            "{out}FAILED: {} wrong answer(s) in a pure-mutation campaign",
-            report.wrong
-        )));
-    }
-    Ok(out)
-}
-
 fn checkpoint(args: &Args) -> Result<String, CliError> {
     use tdam::runtime::{ResilientEngine, RuntimeConfig};
     use tdam::store::{CheckpointStore, DurableEngine};
@@ -608,183 +454,60 @@ fn restore(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn serve(args: &Args) -> Result<String, CliError> {
-    use tdam::serve::{run_serve_chaos, ServeChaosConfig};
-
-    let mut cfg = ServeChaosConfig::quick(None);
-    cfg.serve.array = base_config(args)?
-        .with_stages(args.usize_or("stages", 16)?)
-        .with_rows(1); // per-shard rows come from the shard map
-    cfg.rows = args.usize_or("rows", 96)?;
-    cfg.serve.rows_per_shard = args.usize_or("rows-per-shard", 24)?;
-    cfg.serve.workers = args.usize_or("workers", 4)?;
-    cfg.serve.queue_capacity = args.usize_or("queue-capacity", 16)?;
-    cfg.clients = args.usize_or("clients", 3)?;
-    cfg.requests_per_client = args.usize_or("requests", 12)?;
-    cfg.k = args.usize_or("k", 5)?;
-    cfg.seed = args.usize_or("seed", 7)? as u64;
-    cfg.deadline = std::time::Duration::from_millis(args.usize_or("deadline-ms", 250)? as u64);
-    cfg.chaos = !args.switch("no-chaos");
-    let standby_dir = match args.get("standby-dir") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("tdam-serve-standby-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&standby_dir)
-        .map_err(|e| CliError::Usage(format!("cannot create standby dir: {e}")))?;
-    cfg.standby_dir = Some(standby_dir.clone());
-
-    let report = run_serve_chaos(&cfg)?;
-    if args.get("standby-dir").is_none() {
-        let _ = std::fs::remove_dir_all(&standby_dir);
-    }
-
-    let mut out = format!(
-        "sharded serving campaign: {} rows x {} stages, {} rows/shard, \
-         {} workers, queue {}, seed {:#x}\n\
-         {:>10} {:>8} {:>9} {:>8} {:>9} {:>6} {:>6} {:>7} {:>7} {:>9} {:>9} {:>7}\n",
-        cfg.rows,
-        cfg.serve.array.stages,
-        cfg.serve.rows_per_shard,
-        cfg.serve.workers,
-        cfg.serve.queue_capacity,
-        cfg.seed,
-        "phase",
-        "requests",
-        "answered",
-        "partial",
-        "degraded",
-        "shedQ",
-        "shedD",
-        "wrong",
-        "silent",
-        "p50 (µs)",
-        "p99 (µs)",
-        "qps"
-    );
-    for p in &report.phases {
-        out.push_str(&format!(
-            "{:>10} {:>8} {:>9} {:>8} {:>9} {:>6} {:>6} {:>7} {:>7} {:>9} {:>9} {:>7}\n",
-            p.name,
-            p.requests,
-            p.answered,
-            p.partial,
-            p.degraded,
-            p.shed_queue,
-            p.shed_deadline,
-            p.flagged_mismatch,
-            p.silent_wrong,
-            p.p50_us,
-            p.p99_us,
-            p.qps
-        ));
-    }
-    out.push_str(&format!(
-        "service: {} requests, {} complete, {} partial, {} degraded; \
-         {} shard downs, {} failovers ({} probe failures), {} restocks\n\
-         front-end: {} connections, {} received, {} answered, \
-         {} shed (queue {}, deadline {}), {} errors\n",
-        report.service.requests,
-        report.service.complete,
-        report.service.partial,
-        report.service.degraded,
-        report.service.shard_downs,
-        report.service.failovers,
-        report.service.probe_failures,
-        report.service.restocks,
-        report.front.connections,
-        report.front.received,
-        report.front.answered,
-        report.front.shed_queue + report.front.shed_deadline,
-        report.front.shed_queue,
-        report.front.shed_deadline,
-        report.front.errors
-    ));
-    for (ix, s) in report.shards.iter().enumerate() {
-        let write_amp = if s.stats.user_writes == 0 {
-            1.0
-        } else {
-            s.stats.physical_writes as f64 / s.stats.user_writes as f64
-        };
-        out.push_str(&format!(
-            "shard {ix}: rows {}..{} {} backend {:?}  \
-             {} queries, {} retries ({} backoff waits), {} breaker trips, \
-             {} demotions, {} promotions, {} repairs\n\
-             \u{20}        writes: {} user, {} physical (amplification {write_amp:.3}x), \
-             {} wear rotations, {} refresh rewrites; \
-             {} epoch swaps ({} incremental repacks)\n",
-            s.base,
-            s.base + s.rows,
-            if s.down { "DOWN" } else { "up  " },
-            s.backend,
-            s.stats.queries,
-            s.stats.retries,
-            s.stats.backoff_waits,
-            s.stats.breaker_trips,
-            s.stats.demotions,
-            s.stats.promotions,
-            s.stats.repairs,
-            s.stats.user_writes,
-            s.stats.physical_writes,
-            s.stats.wear_rotations,
-            s.stats.refresh_rewrites,
-            s.stats.epoch_swaps,
-            s.stats.incremental_repacks
-        ));
-    }
-    if report.silent_wrong() > 0 {
-        return Err(CliError::permanent(format!(
-            "{} silent wrong answer(s): a complete answer differed from brute force",
-            report.silent_wrong()
-        )));
-    }
-    Ok(out)
+/// One closed-loop load run, folded over its client threads.
+#[derive(Default)]
+struct LoadTally {
+    answered: usize,
+    partial: usize,
+    degraded: usize,
+    shed_queue: usize,
+    shed_deadline: usize,
+    errors: usize,
+    /// Complete answers that differed from brute force (judged runs).
+    silent_wrong: usize,
+    latencies_us: Vec<u64>,
 }
 
-fn serve_load(args: &Args) -> Result<String, CliError> {
-    use tdam::serve::{percentile, ServeClient, ServeError, ShedReason};
-
-    let addr = args
-        .get("addr")
-        .ok_or_else(|| CliError::Usage("serve-load needs --addr HOST:PORT".to_owned()))?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| CliError::Usage(format!("bad --addr {addr}")))?;
-    let clients = args.usize_or("clients", 2)?.max(1);
-    let requests = args.usize_or("requests", 32)?;
-    let k = args.usize_or("k", 5)?;
-    let seed = args.usize_or("seed", 11)? as u64;
-    let deadline = std::time::Duration::from_millis(args.usize_or("deadline-ms", 250)? as u64);
-
-    // Discover the corpus shape over the wire so queries are well
-    // formed without any out-of-band knowledge.
-    let info = ServeClient::connect(addr)?.info()?;
-
-    struct Tally {
-        answered: usize,
-        partial: usize,
-        degraded: usize,
-        shed_queue: usize,
-        shed_deadline: usize,
-        errors: usize,
-        latencies_us: Vec<u64>,
+impl LoadTally {
+    fn absorb(&mut self, other: Self) {
+        self.answered += other.answered;
+        self.partial += other.partial;
+        self.degraded += other.degraded;
+        self.shed_queue += other.shed_queue;
+        self.shed_deadline += other.shed_deadline;
+        self.errors += other.errors;
+        self.silent_wrong += other.silent_wrong;
+        self.latencies_us.extend(other.latencies_us);
     }
+}
+
+/// The closed-loop client driver behind `serve` and `serve-load`:
+/// `clients` threads against `addr`, each sending `requests` seeded
+/// queries shaped by `info`. With `judge` set to the served corpus,
+/// every complete answer is compared with brute force over it. Returns
+/// the run's text report and its tally.
+#[allow(clippy::too_many_arguments)]
+fn closed_loop(
+    addr: std::net::SocketAddr,
+    info: &tdam::serve::InfoReply,
+    clients: usize,
+    requests: usize,
+    k: usize,
+    deadline: std::time::Duration,
+    seed: u64,
+    judge: Option<(&[Vec<u8>], Encoding)>,
+) -> Result<(String, LoadTally), CliError> {
+    use tdam::serve::{brute_force_topk, percentile, ServeClient, ServeError, ShedReason};
+
     let started = std::time::Instant::now();
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
+    let tallies: Vec<LoadTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                scope.spawn(move || -> Result<Tally, CliError> {
+                scope.spawn(move || -> Result<LoadTally, CliError> {
                     let mut rng =
                         StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
                     let mut client = ServeClient::connect(addr)?;
-                    let mut tally = Tally {
-                        answered: 0,
-                        partial: 0,
-                        degraded: 0,
-                        shed_queue: 0,
-                        shed_deadline: 0,
-                        errors: 0,
-                        latencies_us: Vec::with_capacity(requests),
-                    };
+                    let mut tally = LoadTally::default();
                     for _ in 0..requests {
                         let query: Vec<u8> = (0..info.stages)
                             .map(|_| rng.gen_range(0..info.levels as u8))
@@ -794,11 +517,13 @@ fn serve_load(args: &Args) -> Result<String, CliError> {
                             Ok(topk) => {
                                 tally.latencies_us.push(sent.elapsed().as_micros() as u64);
                                 tally.answered += 1;
-                                if topk.partial {
-                                    tally.partial += 1;
-                                }
-                                if topk.degraded {
-                                    tally.degraded += 1;
+                                tally.partial += usize::from(topk.partial);
+                                tally.degraded += usize::from(topk.degraded);
+                                if let Some((corpus, encoding)) = judge {
+                                    let expected = brute_force_topk(corpus, encoding, &query, k)?;
+                                    if topk.complete() && topk.neighbors != expected {
+                                        tally.silent_wrong += 1;
+                                    }
                                 }
                             }
                             Err(ServeError::Overloaded(ShedReason::QueueFull)) => {
@@ -807,7 +532,14 @@ fn serve_load(args: &Args) -> Result<String, CliError> {
                             Err(ServeError::Overloaded(ShedReason::DeadlineExpired)) => {
                                 tally.shed_deadline += 1;
                             }
-                            Err(_) => tally.errors += 1,
+                            Err(e) => {
+                                tally.errors += 1;
+                                if matches!(e, ServeError::Io(_) | ServeError::Protocol(_)) {
+                                    // The connection may be poisoned:
+                                    // keep the loop closed on a fresh one.
+                                    client = ServeClient::connect(addr)?;
+                                }
+                            }
                         }
                     }
                     Ok(tally)
@@ -824,34 +556,146 @@ fn serve_load(args: &Args) -> Result<String, CliError> {
     })?;
     let elapsed = started.elapsed();
 
-    let mut latencies: Vec<u64> = Vec::new();
-    let (mut answered, mut partial, mut degraded) = (0usize, 0usize, 0usize);
-    let (mut shed_queue, mut shed_deadline, mut errors) = (0usize, 0usize, 0usize);
+    let mut tally = LoadTally::default();
     for t in tallies {
-        answered += t.answered;
-        partial += t.partial;
-        degraded += t.degraded;
-        shed_queue += t.shed_queue;
-        shed_deadline += t.shed_deadline;
-        errors += t.errors;
-        latencies.extend(t.latencies_us);
+        tally.absorb(t);
     }
     let total = clients * requests;
     let qps = total as f64 / elapsed.as_secs_f64().max(1e-9);
-    Ok(format!(
-        "serve-load against {addr}: corpus {} rows x {} stages over {} shard(s)\n\
-         {} client(s) x {} request(s) closed-loop, k={k}, deadline {:?}\n\
-         answered {answered}/{total} ({partial} partial, {degraded} degraded)\n\
-         shed: {shed_queue} queue-full, {shed_deadline} deadline   errors: {errors}\n\
+    let text = format!(
+        "{} client(s) x {} request(s) closed-loop, k={k}, deadline {:?}\n\
+         answered {}/{total} ({} partial, {} degraded)\n\
+         shed: {} queue-full, {} deadline   errors: {}\n\
          throughput {qps:.0} qps   p50 {} µs   p99 {} µs\n",
-        info.rows,
-        info.stages,
-        info.shards,
         clients,
         requests,
         deadline,
-        percentile(&mut latencies, 50.0),
-        percentile(&mut latencies, 99.0),
+        tally.answered,
+        tally.partial,
+        tally.degraded,
+        tally.shed_queue,
+        tally.shed_deadline,
+        tally.errors,
+        percentile(&mut tally.latencies_us, 50.0),
+        percentile(&mut tally.latencies_us, 99.0),
+    );
+    Ok((text, tally))
+}
+
+fn serve(args: &Args) -> Result<String, CliError> {
+    use std::sync::Arc;
+    use tdam::serve::{seeded_corpus, FrontEnd, InfoReply, ServeConfig, ShardedService};
+
+    let mut cfg = ServeConfig::paper_default();
+    cfg.array = base_config(args)?.with_stages(args.usize_or("stages", 16)?);
+    cfg.rows_per_shard = args.usize_or("rows-per-shard", 24)?;
+    cfg.workers = args.usize_or("workers", 4)?;
+    cfg.queue_capacity = args.usize_or("queue-capacity", 16)?;
+    let rows = args.usize_or("rows", 96)?;
+    let clients = args.usize_or("clients", 3)?.max(1);
+    let requests = args.usize_or("requests", 12)?;
+    let k = args.usize_or("k", 5)?;
+    let seed = args.usize_or("seed", 7)? as u64;
+    let deadline = std::time::Duration::from_millis(args.usize_or("deadline-ms", 250)? as u64);
+
+    let encoding = cfg.array.encoding;
+    let corpus = seeded_corpus(rows, cfg.array.stages, encoding.levels(), seed);
+    let service = Arc::new(ShardedService::new(&cfg, &corpus, None)?);
+    let mut front = FrontEnd::start(Arc::clone(&service), &cfg, "127.0.0.1:0")?;
+    let info = InfoReply {
+        stages: cfg.array.stages,
+        levels: usize::from(encoding.levels()),
+        rows,
+        shards: service.map().shards(),
+    };
+    let run = closed_loop(
+        front.addr(),
+        &info,
+        clients,
+        requests,
+        k,
+        deadline,
+        seed.wrapping_add(1),
+        Some((&corpus, encoding)),
+    );
+    let front_stats = front.front_stats();
+    front.shutdown();
+    let (load, tally) = run?;
+
+    let service_stats = service.service_stats();
+    let mut out = format!(
+        "sharded serving: {rows} rows x {} stages, {} rows/shard, {} workers, queue {}, \
+         seed {seed:#x}\n{load}\
+         judge: {} complete answer(s) differed from brute force\n\
+         service: {} requests, {} complete, {} partial, {} degraded; {} shard downs\n\
+         front-end: {} connections, {} received, {} answered, \
+         {} shed (queue {}, deadline {}), {} errors\n",
+        cfg.array.stages,
+        cfg.rows_per_shard,
+        cfg.workers,
+        cfg.queue_capacity,
+        tally.silent_wrong,
+        service_stats.requests,
+        service_stats.complete,
+        service_stats.partial,
+        service_stats.degraded,
+        service_stats.shard_downs,
+        front_stats.connections,
+        front_stats.received,
+        front_stats.answered,
+        front_stats.shed_queue + front_stats.shed_deadline,
+        front_stats.shed_queue,
+        front_stats.shed_deadline,
+        front_stats.errors
+    );
+    for (ix, s) in service.shard_statuses().iter().enumerate() {
+        out.push_str(&format!(
+            "shard {ix}: rows {}..{} {} backend {:?}  \
+             {} queries, {} retries, {} breaker trips, {} health checks ({} missed), \
+             {} repairs\n",
+            s.base,
+            s.base + s.rows,
+            if s.down { "DOWN" } else { "up  " },
+            s.backend,
+            s.stats.queries,
+            s.stats.retries,
+            s.stats.breaker_trips,
+            s.stats.health_checks,
+            s.stats.health_misses,
+            s.stats.repairs,
+        ));
+    }
+    if tally.silent_wrong > 0 {
+        return Err(CliError::permanent(format!(
+            "{out}FAILED: {} silent wrong answer(s): a complete answer differed from brute force",
+            tally.silent_wrong
+        )));
+    }
+    Ok(out)
+}
+
+fn serve_load(args: &Args) -> Result<String, CliError> {
+    use tdam::serve::ServeClient;
+
+    let addr = args
+        .get("addr")
+        .ok_or_else(|| CliError::Usage("serve-load needs --addr HOST:PORT".to_owned()))?;
+    let addr: std::net::SocketAddr = addr
+        .parse()
+        .map_err(|_| CliError::Usage(format!("bad --addr {addr}")))?;
+    let clients = args.usize_or("clients", 2)?.max(1);
+    let requests = args.usize_or("requests", 32)?;
+    let k = args.usize_or("k", 5)?;
+    let seed = args.usize_or("seed", 11)? as u64;
+    let deadline = std::time::Duration::from_millis(args.usize_or("deadline-ms", 250)? as u64);
+
+    // Discover the corpus shape over the wire so queries are well
+    // formed without any out-of-band knowledge.
+    let info = ServeClient::connect(addr)?.info()?;
+    let (load, _) = closed_loop(addr, &info, clients, requests, k, deadline, seed, None)?;
+    Ok(format!(
+        "serve-load against {addr}: corpus {} rows x {} stages over {} shard(s)\n{load}",
+        info.rows, info.stages, info.shards,
     ))
 }
 
@@ -861,7 +705,9 @@ fn sim_report_lines(report: &tdam::sim::SimReport) -> String {
         "requests {}: {} complete, {} partial, {} degraded, {} shed, \
          {} transport errors, {} protocol errors, {} server errors\n\
          events: {} mutations, {} shard crashes, {} failovers, {} durable crashes, \
-         {} disk faults, {} checkpoints, {} ages, {} drifts, {} scrubs, {} reorders\n\
+         {} disk faults, {} checkpoints, {} ages, {} drifts, {} scrubs, {} reorders, \
+         {} cell faults, {} panic injections\n\
+         wear: {} rotations, {} refresh rewrites\n\
          judged {} answers against brute force; scrub heals {}\n",
         report.requests,
         report.complete,
@@ -881,6 +727,10 @@ fn sim_report_lines(report: &tdam::sim::SimReport) -> String {
         report.drifts,
         report.scrubs,
         report.reorders,
+        report.cell_faults,
+        report.panics_armed,
+        report.wear_rotations,
+        report.refresh_rewrites,
         report.judged,
         report.scrub_heals,
     );
@@ -913,7 +763,7 @@ fn sim_artifact_lines(artifact: &tdam::sim::FailureArtifact) -> String {
 }
 
 fn simulate(args: &Args) -> Result<String, CliError> {
-    use tdam::sim::{generate_schedule, run_sim_campaign, simulate as run_world, SimConfig};
+    use tdam::sim::SimConfig;
 
     let seed = args.usize_or("seed", 0)? as u64;
     let scenarios = args.usize_or("scenarios", 1)?;
@@ -933,6 +783,27 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     cfg.sabotage = args.switch("sabotage");
     cfg.corpus_rows = args.usize_or("corpus-rows", cfg.corpus_rows)?;
 
+    // The worlds' injected worker panics are caught and retried by the
+    // shard runtimes; keep the default hook from printing each one.
+    // Any other panic still reports.
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().downcast_ref::<&str>() != Some(&tdam::runtime::INJECTED_PANIC) {
+            report_panic(info);
+        }
+    }));
+    let out = simulate_worlds(cfg, seed, scenarios);
+    drop(std::panic::take_hook());
+    out
+}
+
+fn simulate_worlds(
+    cfg: tdam::sim::SimConfig,
+    seed: u64,
+    scenarios: usize,
+) -> Result<String, CliError> {
+    use tdam::sim::{generate_schedule, run_sim_campaign, simulate as run_world};
+
     if scenarios > 1 {
         // Campaign mode: `seed` is the base seed each world derives
         // from. Any failing world is replayed and shrunk so the report
@@ -944,7 +815,8 @@ fn simulate(args: &Args) -> Result<String, CliError> {
              requests {}: {} complete, {} flagged, {} shed, \
              {} transport errors, {} protocol errors\n\
              events: {} mutations, {} shard crashes, {} failovers, {} durable crashes, \
-             {} ages, {} drifts; scrub heals {}\n\
+             {} ages, {} drifts, {} cell faults, {} panic injections; scrub heals {}\n\
+             wear: {} rotations, {} refresh rewrites\n\
              judged {} answers against brute force\n",
             report.scenarios,
             seed,
@@ -963,7 +835,11 @@ fn simulate(args: &Args) -> Result<String, CliError> {
             report.durable_crashes,
             report.ages,
             report.drifts,
+            report.cell_faults,
+            report.panics_armed,
             report.scrub_heals,
+            report.wear_rotations,
+            report.refresh_rewrites,
             report.judged,
         );
         if report.corpus_judged > 0 || report.corpus_mutations > 0 {
@@ -1381,111 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_chaos_reports_availability() {
-        let out = run(&[
-            "serve-chaos",
-            "--rows",
-            "8",
-            "--stages",
-            "16",
-            "--batches",
-            "4",
-            "--batch",
-            "8",
-            "--spares",
-            "4",
-        ])
-        .unwrap();
-        assert!(out.contains("availability"), "{out}");
-        assert!(out.contains("silent wrong"), "{out}");
-        // Same seed → bit-identical report text.
-        let replay = run(&[
-            "serve-chaos",
-            "--rows",
-            "8",
-            "--stages",
-            "16",
-            "--batches",
-            "4",
-            "--batch",
-            "8",
-            "--spares",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(out, replay);
-    }
-
-    #[test]
-    fn serve_chaos_validates_rates_and_honors_deadline() {
-        assert!(matches!(
-            run(&["serve-chaos", "--fault-rate", "1.5"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["serve-chaos", "--panic-rate", "-0.2"]),
-            Err(CliError::Usage(_))
-        ));
-        let out = run(&[
-            "serve-chaos",
-            "--rows",
-            "4",
-            "--stages",
-            "16",
-            "--batches",
-            "2",
-            "--batch",
-            "8",
-            "--fault-rate",
-            "0",
-            "--panic-rate",
-            "0",
-            "--deadline-queries",
-            "3",
-        ])
-        .unwrap();
-        // 2 batches x 8 queries with a 3-query budget: 6 answered, 10 expired.
-        assert!(out.contains("6 answered, 10 timed out"), "{out}");
-    }
-
-    #[test]
-    fn mutate_chaos_reports_and_replays_bit_identically() {
-        let argv = [
-            "mutate-chaos",
-            "--rows",
-            "8",
-            "--stages",
-            "16",
-            "--batches",
-            "4",
-            "--batch",
-            "8",
-            "--writes",
-            "2",
-            "--panic-rate",
-            "0",
-        ];
-        let out = run(&argv).unwrap();
-        assert!(out.contains("0 wrong, 0 silent wrong"), "{out}");
-        assert!(out.contains("amplification"), "{out}");
-        assert!(out.contains("incremental repacks"), "{out}");
-        // Same seed → bit-identical report text (integer-only campaign).
-        assert_eq!(out, run(&argv).unwrap());
-    }
-
-    #[test]
-    fn mutate_chaos_validates_rates() {
-        assert!(matches!(
-            run(&["mutate-chaos", "--fault-rate", "2"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["mutate-chaos", "--panic-rate", "nan"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
     fn table1_renders() {
         let out = run(&["table1", "--queries", "5"]).unwrap();
         assert!(out.contains("This work"));
@@ -1560,7 +1331,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_steady_reports_phase_and_shard_stats() {
+    fn serve_judges_a_steady_closed_loop() {
         let out = run(&[
             "serve",
             "--rows",
@@ -1573,40 +1344,20 @@ mod tests {
             "2",
             "--requests",
             "6",
-            "--no-chaos",
         ])
         .unwrap();
-        assert!(out.contains("sharded serving campaign"), "{out}");
-        assert!(out.contains("steady"), "{out}");
-        assert!(!out.contains("crash"), "--no-chaos runs steady only: {out}");
+        assert!(
+            out.contains("sharded serving: 48 rows x 16 stages"),
+            "{out}"
+        );
+        assert!(out.contains("answered 12/12"), "{out}");
+        assert!(
+            out.contains("judge: 0 complete answer(s) differed"),
+            "{out}"
+        );
         assert!(out.contains("shard 0: rows 0..16"), "{out}");
         assert!(out.contains("shard 2: rows 32..48"), "{out}");
         assert!(out.contains("breaker trips"), "{out}");
-        assert!(out.contains("0 silent") || out.contains(" 0 "), "{out}");
-    }
-
-    #[test]
-    fn serve_chaos_campaign_recovers_and_reports_failover() {
-        let out = run(&[
-            "serve",
-            "--rows",
-            "48",
-            "--stages",
-            "16",
-            "--rows-per-shard",
-            "16",
-            "--clients",
-            "2",
-            "--requests",
-            "6",
-            "--deadline-ms",
-            "100",
-        ])
-        .unwrap();
-        for phase in ["steady", "overload", "slow-shard", "crash", "recovered"] {
-            assert!(out.contains(phase), "missing phase {phase}: {out}");
-        }
-        assert!(out.contains("failovers"), "{out}");
     }
 
     #[test]

@@ -107,16 +107,11 @@ USAGE:
   tdam-sim faults  [--stages N] [--rows R] [--spares S] [--rate P] [--kind K]
                    [--trials T] [--queries Q] [--seed X] [--no-repair]
   tdam-sim bench-batch [--stages N] [--rows R] [--batch B] [--threads T] [--seed X]
-  tdam-sim serve-chaos [--stages N] [--rows R] [--spares S] [--batches B] [--batch Q]
-                   [--fault-rate P] [--panic-rate P] [--deadline-queries D] [--seed X]
-  tdam-sim mutate-chaos [--stages N] [--rows R] [--spares S] [--batches B] [--batch Q]
-                   [--writes W] [--fault-rate P] [--panic-rate P]
-                   [--deadline-queries D] [--seed X]
   tdam-sim checkpoint --dir D [--stages N] [--rows R] [--spares S] [--mutations M] [--seed X]
   tdam-sim restore    --dir D
   tdam-sim serve   [--rows R] [--stages N] [--rows-per-shard S] [--clients C]
                    [--requests Q] [--k K] [--deadline-ms D] [--workers W]
-                   [--queue-capacity N] [--seed X] [--standby-dir DIR] [--no-chaos]
+                   [--queue-capacity N] [--seed X]
   tdam-sim serve-load --addr HOST:PORT [--clients C] [--requests Q] [--k K]
                    [--deadline-ms D] [--seed X]
   tdam-sim simulate [--seed X] [--scenarios N] [--steps S] [--fault-density P]
@@ -136,15 +131,6 @@ SUBCOMMANDS:
             (--kind: stuck-mismatch, stuck-match, stuck-mix, drift,
              stuck-column, broken-stage, tdc-miscount, sl-glitch)
   bench-batch  time batched parallel search vs a sequential query loop
-  serve-chaos  seeded chaos campaign against the fault-tolerant serving
-               runtime: injected cell faults + worker panics, reporting
-               availability and silent-wrong-answer counts
-  mutate-chaos seeded read/write chaos campaign: row rewrites churn the
-               array (incremental repack + epoch-swapped snapshots, wear
-               leveling) between served batches; every answer is judged
-               against an independently replayed reference, and the
-               command fails on any silent corruption (or any wrong
-               answer at all when --fault-rate is 0)
   checkpoint   program a seeded deployment and persist it under --dir:
                a CRC-checksummed snapshot plus a write-ahead journal of
                the post-checkpoint mutations (--mutations, left
@@ -153,17 +139,19 @@ SUBCOMMANDS:
                fall back past damaged generations, replay the journal,
                then revalidate with known-answer probes
   serve        stand up the sharded TCP serving front-end over a seeded
-               corpus and drive it with a closed-loop chaos campaign
-               (steady → overload → slow shard → crash → recovered),
-               reporting per-phase sheds/latency and per-shard runtime
-               stats; --no-chaos runs the steady phase only
-  serve-load   closed-loop load generator against a running `serve`
-               front-end: discovers the corpus shape over the wire,
+               corpus on a loopback port, drive it with a steady
+               closed loop (the serve-load client driver) whose every
+               complete answer is judged against brute force, report
+               qps, p50/p99, sheds and per-shard runtime stats, then
+               shut down; fails on any wrong complete answer
+  serve-load   closed-loop load generator against a front-end some
+               other process keeps running (`serve` exits when its own
+               run is done): discovers the corpus shape over the wire,
                then reports qps, p50/p99, and explicit shed counts
   simulate     deterministic full-system simulation on virtual time: a
                whole deployment (sharded serving, durable track, device
-               aging) runs single-threaded under a seed-derived fault
-               schedule, with every complete answer judged against a
+               aging, stuck cells, wear churn, worker panics) runs
+               single-threaded under a seed-derived fault schedule, with every complete answer judged against a
                brute-force replay of the shadow corpus; a failing seed
                replays bit-identically and is shrunk to a minimal
                schedule before it is reported. --scenarios N runs a

@@ -50,9 +50,9 @@
 //!   with spare-row remapping, graceful degradation, and seeded parallel
 //!   fault campaigns
 //! - [`runtime`] — the fault-tolerant serving runtime: per-batch deadline
-//!   budgets with partial results, panic isolation, health probes with a
-//!   circuit breaker, and a packed-kernel → behavioral → degraded backend
-//!   fallback chain
+//!   budgets with partial results, panic isolation (with seeded panic
+//!   injection), health probes with a circuit breaker, and a
+//!   packed-kernel → behavioral → degraded backend fallback chain
 //! - [`store`] — durable state: CRC-checksummed checkpoint snapshots with
 //!   atomic commit, a write-ahead journal of post-checkpoint mutations,
 //!   warm-start recovery that falls back to the last good generation, and
@@ -60,17 +60,18 @@
 //! - [`serve`] — the sharded network front-end: row-range scatter-gather
 //!   top-k (bit-identical to brute force), bounded-queue admission
 //!   control with explicit load shedding, probe-gated warm-standby
-//!   failover, and a seeded TCP chaos campaign
+//!   failover, and the chaos hooks the simulator drives
 //! - [`clock`] — the wall/virtual time abstraction every deadline,
 //!   backoff wait, flush window, and scrub tick reads
 //! - [`corpus`] — million-row two-tier search: a seeded coarse centroid
 //!   pre-filter picks `nprobe` candidate shards, the exact packed tier
 //!   re-ranks them, and an LRU cache with a resident-byte budget keeps
 //!   only hot shard snapshots compiled
-//! - [`sim`] — deterministic full-system simulation: a whole deployment
-//!   on virtual time with seed-scheduled network/disk/device faults,
-//!   judged against independent oracles, with seed replay and greedy
-//!   schedule shrinking
+//! - [`sim`] — deterministic full-system simulation, the one chaos
+//!   harness: a whole deployment on virtual time with seed-scheduled
+//!   network, disk and device faults (aging, drift, stuck cells, wear
+//!   churn) and worker panics, judged against independent oracles, with
+//!   seed replay and greedy schedule shrinking
 //! - [`margins`] — sensing-margin feasibility of 1–4-bit precision under
 //!   variation (the paper's "higher-precision potential" analysis)
 //! - [`power`] — idle static (leakage) power, the flip side of the

@@ -31,10 +31,11 @@
 //!
 //! [`Guarded`] provides the same slot-isolation contract for any
 //! [`SimilarityEngine`] (including the Table I baselines), and
-//! [`run_chaos`] drives a seeded chaos campaign — injected cell faults
-//! plus injected worker panics — measuring availability. Campaigns are
-//! bit-identical under a fixed seed when the deadline policy is
-//! deterministic (anything but [`DeadlinePolicy::WallClock`]).
+//! [`ChaosInjection`] arms seeded worker panics; the deterministic
+//! simulation ([`crate::sim`]) injects them, with stuck cells, into a
+//! whole serving deployment. Served results are thread-count invariant
+//! and, under a deterministic deadline policy (anything but
+//! [`DeadlinePolicy::WallClock`]), bit-identical for a fixed seed.
 //!
 //! # Examples
 //!
@@ -70,12 +71,9 @@ use crate::config::ArrayConfig;
 use crate::engine::{BatchQuery, SearchMetrics, SimilarityEngine};
 use crate::parallel::{mix_seed, run_chunked_partial};
 use crate::resilience::{
-    DegradationLevel, ResilienceConfig, ResilientArray, ResilientOutcome, RowHealth, WearPolicy,
-    WriteReport,
+    DegradationLevel, ResilienceConfig, ResilientArray, ResilientOutcome, RowHealth, WriteReport,
 };
 use crate::{ErrorClass, TdamError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// How much work a batch may spend before remaining slots expire.
@@ -399,6 +397,10 @@ pub struct RuntimeStats {
     /// its codes; it is kept for wire and store compatibility.
     pub corpus_compile_micros: usize,
 }
+
+/// The payload of every panic [`ChaosInjection`] injects, so a panic
+/// hook can keep quiet about injected panics and still report real ones.
+pub const INJECTED_PANIC: &str = "chaos: injected worker panic";
 
 /// Deterministic fault/panic injection for chaos testing: whether a slot
 /// panics is a pure function of `(seed, batch, slot, attempt)`, so a
@@ -843,7 +845,7 @@ impl ResilientEngine {
     ) -> Result<ResilientOutcome, TdamError> {
         if let Some(chaos) = &self.chaos {
             if chaos.should_panic(self.stats.batches as u64, slot as u64, attempt as u64) {
-                panic!("chaos: injected worker panic");
+                std::panic::panic_any(INJECTED_PANIC);
             }
         }
         let query = batch.get(slot);
@@ -1150,488 +1152,11 @@ impl<E: SimilarityEngine> Guarded<E> {
     }
 }
 
-/// Configuration of a seeded chaos campaign ([`run_chaos`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosConfig {
-    /// Geometry of the *data* array (rows = logical data rows).
-    pub array: ArrayConfig,
-    /// Resilience machinery wrapped around it.
-    pub resilience: ResilienceConfig,
-    /// Serving runtime configuration. For bit-identical replay the
-    /// deadline must not be [`DeadlinePolicy::WallClock`] and the retry
-    /// backoff should be zero.
-    pub runtime: RuntimeConfig,
-    /// Batches to serve.
-    pub batches: usize,
-    /// Queries per batch.
-    pub batch_size: usize,
-    /// Target cumulative fraction of cells hit by a persistent fault over
-    /// the whole campaign (spread uniformly across batches).
-    pub fault_rate: f64,
-    /// Per-(slot, attempt) injected worker-panic probability.
-    pub panic_rate: f64,
-    /// Campaign seed.
-    pub seed: u64,
-}
-
-impl ChaosConfig {
-    /// The chaos campaign of the acceptance criteria: 1% cell faults plus
-    /// injected worker panics over a 16-row, 32-stage array.
-    pub fn paper_default() -> Self {
-        Self {
-            array: ArrayConfig::paper_default().with_stages(32).with_rows(16),
-            resilience: ResilienceConfig {
-                spare_rows: 8,
-                ..ResilienceConfig::default()
-            },
-            runtime: RuntimeConfig {
-                retry: RetryConfig {
-                    max_retries: 3,
-                    backoff: Duration::ZERO,
-                    backoff_cap: Duration::ZERO,
-                },
-                ..RuntimeConfig::default()
-            },
-            batches: 24,
-            batch_size: 32,
-            fault_rate: 0.01,
-            panic_rate: 0.02,
-            seed: 0xC4A0_2024,
-        }
-    }
-}
-
-/// Results of a chaos campaign. Integer-only accounting, so equality is
-/// exact: two runs with the same seed must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChaosReport {
-    /// Query slots served across the campaign.
-    pub total_queries: usize,
-    /// Slots answered (possibly degraded).
-    pub answered: usize,
-    /// Slots expired by deadlines.
-    pub timed_out: usize,
-    /// Slots failed after retries.
-    pub failed: usize,
-    /// Answered slots whose best row was not a true nearest row.
-    pub wrong: usize,
-    /// Wrong answers delivered while the outcome claimed
-    /// [`DegradationLevel::Nominal`] — the forbidden case.
-    pub silent_wrong: usize,
-    /// Answered slots flagged with any non-nominal degradation.
-    pub degraded_answers: usize,
-    /// Persistent cell faults injected.
-    pub faults_injected: usize,
-    /// Backend of the final batch.
-    pub final_backend: BackendKind,
-    /// Degradation level after the final batch.
-    pub final_degradation: DegradationLevel,
-    /// Runtime statistics.
-    pub stats: RuntimeStats,
-}
-
-impl ChaosReport {
-    /// Fraction of slots answered.
-    pub fn availability(&self) -> f64 {
-        if self.total_queries == 0 {
-            return 1.0;
-        }
-        self.answered as f64 / self.total_queries as f64
-    }
-}
-
-/// Runs a seeded chaos campaign: random data rows, exact-match queries,
-/// persistent cell faults drip-fed across batches at `fault_rate`
-/// cumulative coverage, and injected worker panics at `panic_rate` —
-/// measuring how much of the traffic the runtime keeps answering and
-/// whether any wrong answer escaped unflagged.
-///
-/// Bit-identical for a fixed seed (given a deterministic deadline policy
-/// and zero backoff): faults, queries, and panics all derive from the
-/// seed, and serving results are thread-count-invariant.
-///
-/// # Errors
-///
-/// Propagates configuration errors and health/repair machinery failures.
-pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, TdamError> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let array = ResilientArray::new(cfg.array, cfg.resilience)?;
-    let mut engine = ResilientEngine::wrap(array, cfg.runtime).with_chaos(ChaosInjection {
-        seed: mix_seed(cfg.seed, 0x51A5),
-        panic_rate: cfg.panic_rate,
-    });
-
-    let data_rows = cfg.array.rows;
-    let stages = cfg.array.stages;
-    let levels = cfg.array.encoding.levels();
-    let mut data = Vec::with_capacity(data_rows);
-    for row in 0..data_rows {
-        let values: Vec<u8> = (0..stages).map(|_| rng.gen_range(0..levels)).collect();
-        engine.store(row, &values)?;
-        data.push(values);
-    }
-
-    let physical_rows = data_rows + cfg.resilience.spare_rows + cfg.resilience.reference_rows;
-    let per_batch_rate = if cfg.batches > 0 {
-        (cfg.fault_rate / cfg.batches as f64).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-
-    let mut report = ChaosReport {
-        total_queries: 0,
-        answered: 0,
-        timed_out: 0,
-        failed: 0,
-        wrong: 0,
-        silent_wrong: 0,
-        degraded_answers: 0,
-        faults_injected: 0,
-        final_backend: engine.backend(),
-        final_degradation: DegradationLevel::Nominal,
-        stats: RuntimeStats::default(),
-    };
-
-    for _ in 0..cfg.batches {
-        // Drip-feed persistent faults so the health probes have something
-        // to catch mid-campaign, not just at t=0.
-        if per_batch_rate > 0.0 {
-            for row in 0..physical_rows {
-                for stage in 0..stages {
-                    if rng.gen_bool(per_batch_rate) {
-                        let kind = if rng.gen_bool(0.5) {
-                            crate::faults::FaultKind::StuckMismatch
-                        } else {
-                            crate::faults::FaultKind::StuckMatch
-                        };
-                        engine.array_mut().inject(row, stage, kind)?;
-                        report.faults_injected += 1;
-                    }
-                }
-            }
-        }
-
-        let mut batch = BatchQuery::new(stages);
-        let mut targets = Vec::with_capacity(cfg.batch_size);
-        for _ in 0..cfg.batch_size {
-            let target = rng.gen_range(0..data_rows);
-            batch.push(&data[target])?;
-            targets.push(target);
-        }
-
-        let outcome = engine.serve(&batch)?;
-        report.total_queries += outcome.slots.len();
-        report.answered += outcome.answered();
-        report.timed_out += outcome.timed_out();
-        report.failed += outcome.failed();
-        // An answer is *flagged* when its outcome admits reduced fidelity
-        // in any way the caller can see — the degradation summary or the
-        // fault-masked backend. Wrong-but-flagged is graceful
-        // degradation; wrong-and-unflagged is the forbidden case.
-        let flagged = outcome.degradation != DegradationLevel::Nominal
-            || outcome.backend == BackendKind::DegradedMasked;
-        for (slot, q) in outcome.slots.iter().enumerate() {
-            let QueryOutcome::Ok(metrics) = q else {
-                continue;
-            };
-            if flagged {
-                report.degraded_answers += 1;
-            }
-            // Ground truth over the *stored* data: the query is an exact
-            // copy of its target row, so any true nearest row is correct.
-            let query = &data[targets[slot]];
-            let truth: Vec<usize> = data
-                .iter()
-                .map(|row| row.iter().zip(query).filter(|(a, b)| a != b).count())
-                .collect();
-            let min_truth = *truth.iter().min().unwrap_or(&0);
-            let correct = metrics.best_row.is_some_and(|r| truth[r] == min_truth);
-            if !correct {
-                report.wrong += 1;
-                if !flagged {
-                    report.silent_wrong += 1;
-                }
-            }
-        }
-        report.final_backend = outcome.backend;
-        report.final_degradation = outcome.degradation;
-    }
-    report.stats = *engine.stats();
-    Ok(report)
-}
-
-/// Configuration of a sustained read/write chaos campaign
-/// ([`run_mutation_chaos`]): continuous row rewrites through the
-/// tracked, wear-leveled write path under live query traffic, with
-/// optional persistent cell faults and injected worker panics on top.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MutationChaosConfig {
-    /// Geometry of the *data* array (rows = logical data rows).
-    pub array: ArrayConfig,
-    /// Resilience machinery, including the [`WearPolicy`] the write mix
-    /// exercises.
-    pub resilience: ResilienceConfig,
-    /// Serving runtime configuration. For bit-identical replay the
-    /// deadline must not be [`DeadlinePolicy::WallClock`] and the retry
-    /// backoff should be zero.
-    pub runtime: RuntimeConfig,
-    /// Batches to serve.
-    pub batches: usize,
-    /// Queries per batch.
-    pub batch_size: usize,
-    /// Random row rewrites applied before each served batch.
-    pub writes_per_batch: usize,
-    /// Target cumulative fraction of cells hit by a persistent fault
-    /// over the whole campaign. 0 makes this a *pure-mutation*
-    /// campaign, and the judge then requires zero wrong answers
-    /// outright — not merely zero unflagged ones.
-    pub fault_rate: f64,
-    /// Per-(slot, attempt) injected worker-panic probability.
-    pub panic_rate: f64,
-    /// Campaign seed.
-    pub seed: u64,
-}
-
-impl MutationChaosConfig {
-    /// The acceptance-criteria campaign: 1280 query slots (≥ 1000
-    /// seeded scenarios) served while 160 row rewrites churn a 16-row,
-    /// 32-stage array under the aggressive wear policy — rotations and
-    /// refresh-rewrites both fire. No cell faults: every answer must be
-    /// *correct*, not merely flagged.
-    pub fn paper_default() -> Self {
-        Self {
-            array: ArrayConfig::paper_default().with_stages(32).with_rows(16),
-            resilience: ResilienceConfig {
-                spare_rows: 8,
-                wear: WearPolicy::aggressive(),
-                ..ResilienceConfig::default()
-            },
-            runtime: RuntimeConfig {
-                retry: RetryConfig {
-                    max_retries: 3,
-                    backoff: Duration::ZERO,
-                    backoff_cap: Duration::ZERO,
-                },
-                ..RuntimeConfig::default()
-            },
-            batches: 40,
-            batch_size: 32,
-            writes_per_batch: 4,
-            fault_rate: 0.0,
-            panic_rate: 0.01,
-            seed: 0x4D55_5441,
-        }
-    }
-
-    /// Layers persistent cell faults on top of the write mix.
-    /// Wrong-but-flagged answers become tolerable (graceful
-    /// degradation); silent corruption never is.
-    pub fn with_faults(mut self, fault_rate: f64) -> Self {
-        self.fault_rate = fault_rate;
-        self
-    }
-}
-
-/// Results of a mutation-chaos campaign. Integer-only accounting:
-/// two runs with the same seed must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MutationChaosReport {
-    /// Query slots served across the campaign.
-    pub total_queries: usize,
-    /// Slots answered (possibly degraded).
-    pub answered: usize,
-    /// Slots expired by deadlines.
-    pub timed_out: usize,
-    /// Slots failed after retries.
-    pub failed: usize,
-    /// Answered slots whose best row was not a true nearest row of the
-    /// independently replayed reference.
-    pub wrong: usize,
-    /// Wrong answers delivered while the outcome claimed
-    /// [`DegradationLevel::Nominal`] — the forbidden case.
-    pub silent_wrong: usize,
-    /// Answered slots flagged with any non-nominal degradation.
-    pub degraded_answers: usize,
-    /// Logical row rewrites accepted (initial population included).
-    pub user_writes: usize,
-    /// Physical row programs those writes cost.
-    pub physical_writes: usize,
-    /// Wear-leveling rotations onto spare rows.
-    pub wear_rotations: usize,
-    /// Disturb-budget refresh-rewrites.
-    pub refresh_rewrites: usize,
-    /// Persistent cell faults injected.
-    pub faults_injected: usize,
-    /// Backend of the final batch.
-    pub final_backend: BackendKind,
-    /// Degradation level after the final batch.
-    pub final_degradation: DegradationLevel,
-    /// Runtime statistics.
-    pub stats: RuntimeStats,
-}
-
-impl MutationChaosReport {
-    /// Fraction of slots answered.
-    pub fn availability(&self) -> f64 {
-        if self.total_queries == 0 {
-            return 1.0;
-        }
-        self.answered as f64 / self.total_queries as f64
-    }
-
-    /// Physical programs per accepted logical write (1.0 = the wear
-    /// leveler added no overhead).
-    pub fn write_amplification(&self) -> f64 {
-        if self.user_writes == 0 {
-            return 1.0;
-        }
-        self.physical_writes as f64 / self.user_writes as f64
-    }
-}
-
-/// Runs a sustained read/write chaos campaign: random row rewrites flow
-/// through the tracked, wear-leveled write path *between* served
-/// batches, so every batch exercises the incremental repack + epoch
-/// swap; optional cell faults and worker panics ride on top.
-///
-/// Every accepted write is mirrored into an **independently replayed
-/// reference** (a plain `Vec<Vec<u8>>` shadow of the logical rows), and
-/// ground truth for each query is recomputed from that shadow — never
-/// from the engine under test. A pure-mutation campaign
-/// (`fault_rate == 0`) must answer every slot correctly; a faulted one
-/// must never deliver a wrong answer unflagged.
-///
-/// Bit-identical for a fixed seed (given a deterministic deadline
-/// policy and zero backoff), and thread-count invariant.
-///
-/// # Errors
-///
-/// Propagates configuration errors and health/repair machinery
-/// failures.
-pub fn run_mutation_chaos(cfg: &MutationChaosConfig) -> Result<MutationChaosReport, TdamError> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let array = ResilientArray::new(cfg.array, cfg.resilience)?;
-    let mut engine = ResilientEngine::wrap(array, cfg.runtime).with_chaos(ChaosInjection {
-        seed: mix_seed(cfg.seed, 0x77C4),
-        panic_rate: cfg.panic_rate,
-    });
-
-    let data_rows = cfg.array.rows;
-    let stages = cfg.array.stages;
-    let levels = cfg.array.encoding.levels();
-    let mut data = Vec::with_capacity(data_rows);
-    for row in 0..data_rows {
-        let values: Vec<u8> = (0..stages).map(|_| rng.gen_range(0..levels)).collect();
-        engine.store(row, &values)?;
-        data.push(values);
-    }
-
-    let physical_rows = data_rows + cfg.resilience.spare_rows + cfg.resilience.reference_rows;
-    let per_batch_rate = if cfg.batches > 0 {
-        (cfg.fault_rate / cfg.batches as f64).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-
-    let mut report = MutationChaosReport {
-        total_queries: 0,
-        answered: 0,
-        timed_out: 0,
-        failed: 0,
-        wrong: 0,
-        silent_wrong: 0,
-        degraded_answers: 0,
-        user_writes: 0,
-        physical_writes: 0,
-        wear_rotations: 0,
-        refresh_rewrites: 0,
-        faults_injected: 0,
-        final_backend: engine.backend(),
-        final_degradation: DegradationLevel::Nominal,
-        stats: RuntimeStats::default(),
-    };
-
-    for _ in 0..cfg.batches {
-        // Live mutation: rewrite random rows through the tracked path,
-        // mirroring each accepted write into the shadow reference.
-        for _ in 0..cfg.writes_per_batch {
-            let row = rng.gen_range(0..data_rows);
-            let values: Vec<u8> = (0..stages).map(|_| rng.gen_range(0..levels)).collect();
-            engine.store(row, &values)?;
-            data[row] = values;
-        }
-
-        if per_batch_rate > 0.0 {
-            for row in 0..physical_rows {
-                for stage in 0..stages {
-                    if rng.gen_bool(per_batch_rate) {
-                        let kind = if rng.gen_bool(0.5) {
-                            crate::faults::FaultKind::StuckMismatch
-                        } else {
-                            crate::faults::FaultKind::StuckMatch
-                        };
-                        engine.array_mut().inject(row, stage, kind)?;
-                        report.faults_injected += 1;
-                    }
-                }
-            }
-        }
-
-        let mut batch = BatchQuery::new(stages);
-        let mut targets = Vec::with_capacity(cfg.batch_size);
-        for _ in 0..cfg.batch_size {
-            let target = rng.gen_range(0..data_rows);
-            batch.push(&data[target])?;
-            targets.push(target);
-        }
-
-        let outcome = engine.serve(&batch)?;
-        report.total_queries += outcome.slots.len();
-        report.answered += outcome.answered();
-        report.timed_out += outcome.timed_out();
-        report.failed += outcome.failed();
-        let flagged = outcome.degradation != DegradationLevel::Nominal
-            || outcome.backend == BackendKind::DegradedMasked;
-        for (slot, q) in outcome.slots.iter().enumerate() {
-            let QueryOutcome::Ok(metrics) = q else {
-                continue;
-            };
-            if flagged {
-                report.degraded_answers += 1;
-            }
-            // Ground truth over the shadow: the query is an exact copy
-            // of its target row *as of this batch*, so any true nearest
-            // row of the current shadow contents is correct.
-            let query = &data[targets[slot]];
-            let truth: Vec<usize> = data
-                .iter()
-                .map(|row| row.iter().zip(query).filter(|(a, b)| a != b).count())
-                .collect();
-            let min_truth = *truth.iter().min().unwrap_or(&0);
-            let correct = metrics.best_row.is_some_and(|r| truth[r] == min_truth);
-            if !correct {
-                report.wrong += 1;
-                if !flagged {
-                    report.silent_wrong += 1;
-                }
-            }
-        }
-        report.final_backend = outcome.backend;
-        report.final_degradation = outcome.degradation;
-    }
-    let stats = *engine.stats();
-    report.user_writes = stats.user_writes;
-    report.physical_writes = stats.physical_writes;
-    report.wear_rotations = stats.wear_rotations;
-    report.refresh_rewrites = stats.refresh_rewrites;
-    report.stats = stats;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultKind;
+    use crate::resilience::WearPolicy;
 
     fn zero_retry_backoff() -> RetryConfig {
         RetryConfig {
@@ -1961,41 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn mutation_chaos_replays_bit_identically_with_zero_wrong() {
-        let mut cfg = MutationChaosConfig::paper_default();
-        cfg.batches = 6;
-        cfg.batch_size = 8;
-        cfg.runtime.threads = Some(2);
-        let a = run_mutation_chaos(&cfg).unwrap();
-        let b = run_mutation_chaos(&cfg).unwrap();
-        assert_eq!(a, b, "mutation chaos must replay bit-identically");
-        assert_eq!(a.wrong, 0, "pure-mutation campaign must be correct");
-        assert_eq!(a.silent_wrong, 0);
-        assert_eq!(a.user_writes, 16 + 6 * 4);
-        assert!(
-            a.stats.incremental_repacks > 0,
-            "tracked writes must refresh surgically, got {:?}",
-            a.stats
-        );
-        assert!(a.write_amplification() >= 1.0);
-        // Thread-count invariance.
-        let mut cfg_threads = cfg.clone();
-        cfg_threads.runtime.threads = Some(1);
-        assert_eq!(run_mutation_chaos(&cfg_threads).unwrap(), a);
-    }
-
-    #[test]
-    fn faulted_mutation_chaos_never_corrupts_silently() {
-        let mut cfg = MutationChaosConfig::paper_default().with_faults(0.01);
-        cfg.batches = 6;
-        cfg.batch_size = 8;
-        cfg.runtime.threads = Some(2);
-        let report = run_mutation_chaos(&cfg).unwrap();
-        assert_eq!(report.silent_wrong, 0, "report: {report:?}");
-        assert!(report.faults_injected > 0, "1% must inject something");
-    }
-
-    #[test]
     fn health_miss_demotes_then_repair_promotes() {
         let mut eng = engine(3, 16);
         for r in 0..3 {
@@ -2200,35 +1690,6 @@ mod tests {
         let outcome = guarded.serve(&ramp_batch(8, 1));
         assert_eq!(outcome.answered(), 1);
         assert_eq!(outcome.retries, 1);
-    }
-
-    #[test]
-    fn chaos_campaign_replays_bit_identically() {
-        let cfg = ChaosConfig {
-            array: ArrayConfig::paper_default().with_stages(16).with_rows(4),
-            resilience: ResilienceConfig {
-                spare_rows: 2,
-                ..ResilienceConfig::default()
-            },
-            runtime: RuntimeConfig {
-                retry: zero_retry_backoff(),
-                threads: Some(3),
-                ..RuntimeConfig::default()
-            },
-            batches: 4,
-            batch_size: 8,
-            fault_rate: 0.01,
-            panic_rate: 0.05,
-            seed: 99,
-        };
-        let a = run_chaos(&cfg).unwrap();
-        let b = run_chaos(&cfg).unwrap();
-        assert_eq!(a, b, "chaos must replay bit-identically");
-        // And thread-count invariance: the fan-out must not leak into
-        // the results.
-        let mut cfg_threads = cfg.clone();
-        cfg_threads.runtime.threads = Some(1);
-        assert_eq!(run_chaos(&cfg_threads).unwrap(), a);
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!   exact ideal-code answers from the tier's snapshot cache instead
 //!   of degrading to a partial answer. [`cluster_layout`] permutes a
 //!   corpus cluster-contiguously so the ranges are pure.
-//! - **Chaos campaign** ([`run_serve_chaos`]): seeded closed-loop load
-//!   over the real TCP front-end with injected shard crashes, slow
-//!   shards, and overload bursts, asserting zero silent wrong answers
-//!   and explicit shed accounting (see `ext_serve_scale`).
+//! - **Chaos hooks** ([`ShardedService::inject_crash`],
+//!   [`ShardedService::inject_slow`],
+//!   [`ShardedService::inject_cell_fault`],
+//!   [`ShardedService::inject_panics`]): the deterministic simulation
+//!   ([`crate::sim`]) injects serving failures through them, judging
+//!   each complete answer against brute force.
 //!
 //! The wire protocol is hand-rolled length-prefixed TCP over
 //! `std::net` (no external dependencies): a `u32` little-endian frame
@@ -43,7 +45,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -1210,6 +1212,45 @@ impl ShardedService {
         lock(&self.shards[shard].state).slow = delay;
     }
 
+    /// Chaos: stick one cell of a shard's array at physical `(row,
+    /// stage)` (spare and reference rows included). The fault is
+    /// persistent; only the shard engine's own health probes can see
+    /// it, and its answers must be flagged from then on, never silently
+    /// wrong.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Sim`] when `row` is outside the shard's physical
+    /// array.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn inject_cell_fault(
+        &self,
+        shard: usize,
+        row: usize,
+        stage: usize,
+        kind: crate::faults::FaultKind,
+    ) -> Result<(), ServeError> {
+        lock(&self.shards[shard].state)
+            .engine
+            .array_mut()
+            .inject(row, stage, kind)
+            .map_err(ServeError::Sim)
+    }
+
+    /// Chaos: arm seeded worker panics on a shard's serving engine (see
+    /// [`crate::runtime::ChaosInjection`]). A promoted standby starts
+    /// unarmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn inject_panics(&self, shard: usize, chaos: crate::runtime::ChaosInjection) {
+        lock(&self.shards[shard].state).engine.chaos = Some(chaos);
+    }
+
     /// Chaos: corrupt the *standby* of a shard by sticking a whole
     /// column, so its known-answer probes must fail and promotion must
     /// be refused (the probe gate under test).
@@ -2270,7 +2311,7 @@ impl<T: Transport> ServeClient<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Load generation and chaos campaign
+// Load generation
 // ---------------------------------------------------------------------------
 
 /// A deterministic corpus of `rows` vectors with elements in
@@ -2291,402 +2332,6 @@ pub fn percentile(samples: &mut [u64], pct: f64) -> u64 {
     samples.sort_unstable();
     let rank = ((pct / 100.0) * samples.len() as f64).ceil() as usize;
     samples[rank.clamp(1, samples.len()) - 1]
-}
-
-/// Configuration for [`run_serve_chaos`].
-#[derive(Debug, Clone)]
-pub struct ServeChaosConfig {
-    /// Service + front-end configuration.
-    pub serve: ServeConfig,
-    /// Corpus rows.
-    pub rows: usize,
-    /// Master seed for the corpus and every client's query stream.
-    pub seed: u64,
-    /// Neighbors requested per query.
-    pub k: usize,
-    /// Closed-loop client threads in steady phases.
-    pub clients: usize,
-    /// Requests each client sends per phase.
-    pub requests_per_client: usize,
-    /// Per-request deadline in steady phases.
-    pub deadline: Duration,
-    /// Overload burst multiplier on `clients`.
-    pub burst_factor: usize,
-    /// Directory for per-shard checkpoint stores backing warm standbys
-    /// (`None` disables failover: downed shards stay down).
-    pub standby_dir: Option<PathBuf>,
-    /// Front-end bind address (`127.0.0.1:0` for an ephemeral port).
-    pub bind_addr: String,
-    /// When false, run the steady phase only — a plain load test with
-    /// no injected failures.
-    pub chaos: bool,
-}
-
-impl ServeChaosConfig {
-    /// A small, CI-sized campaign.
-    pub fn quick(standby_dir: Option<PathBuf>) -> Self {
-        let mut serve = ServeConfig::paper_default();
-        serve.array.stages = 16;
-        serve.rows_per_shard = 24;
-        serve.workers = 4;
-        serve.queue_capacity = 16;
-        Self {
-            serve,
-            rows: 96,
-            seed: 7,
-            k: 5,
-            clients: 3,
-            requests_per_client: 12,
-            deadline: Duration::from_millis(250),
-            burst_factor: 4,
-            standby_dir,
-            bind_addr: "127.0.0.1:0".into(),
-            chaos: true,
-        }
-    }
-}
-
-/// Per-phase campaign accounting, judged against brute force.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseReport {
-    /// Phase name (`steady`, `overload`, `slow-shard`, `crash`,
-    /// `recovered`).
-    pub name: String,
-    /// Requests sent.
-    pub requests: usize,
-    /// Top-k replies received.
-    pub answered: usize,
-    /// Replies flagged partial.
-    pub partial: usize,
-    /// Replies flagged degraded.
-    pub degraded: usize,
-    /// Explicit queue-full sheds observed by clients.
-    pub shed_queue: usize,
-    /// Explicit deadline sheds observed by clients.
-    pub shed_deadline: usize,
-    /// Transport/server errors observed by clients.
-    pub errors: usize,
-    /// Replies differing from brute force while flagged partial or
-    /// degraded (allowed: the flag is the contract).
-    pub flagged_mismatch: usize,
-    /// Replies differing from brute force while claiming to be
-    /// complete — silent wrong answers. Must be zero, always.
-    pub silent_wrong: usize,
-    /// Median latency of answered requests, microseconds.
-    pub p50_us: u64,
-    /// 99th percentile latency of answered requests, microseconds.
-    pub p99_us: u64,
-    /// Achieved request throughput (sent / wall time).
-    pub qps: u64,
-}
-
-/// Full campaign result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeChaosReport {
-    /// Per-phase accounting, in execution order.
-    pub phases: Vec<PhaseReport>,
-    /// Final service-level counters (failovers, probe gates, downs).
-    pub service: ServiceStats,
-    /// Final front-end admission counters.
-    pub front: FrontStats,
-    /// Final per-shard condition, including each engine's
-    /// [`RuntimeStats`] (retries, backoff waits, breaker trips,
-    /// backend transitions).
-    pub shards: Vec<ShardStatus>,
-}
-
-impl ServeChaosReport {
-    /// Silent wrong answers across every phase (the campaign's core
-    /// invariant: this must be zero).
-    pub fn silent_wrong(&self) -> usize {
-        self.phases.iter().map(|p| p.silent_wrong).sum()
-    }
-
-    /// Explicit sheds across every phase.
-    pub fn sheds(&self) -> usize {
-        self.phases
-            .iter()
-            .map(|p| p.shed_queue + p.shed_deadline)
-            .sum()
-    }
-}
-
-struct ClientTally {
-    answered: usize,
-    partial: usize,
-    degraded: usize,
-    shed_queue: usize,
-    shed_deadline: usize,
-    errors: usize,
-    flagged_mismatch: usize,
-    silent_wrong: usize,
-    latencies_us: Vec<u64>,
-}
-
-/// One closed-loop client: seeded query stream, every complete answer
-/// judged bit-for-bit against brute force over the full corpus.
-fn run_client(
-    addr: SocketAddr,
-    corpus: &[Vec<u8>],
-    encoding: crate::encoding::Encoding,
-    seed: u64,
-    k: usize,
-    requests: usize,
-    deadline: Duration,
-) -> Result<ClientTally, ServeError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let clock = Clock::wall();
-    let mut client = ServeClient::connect(addr)?;
-    let stages = corpus.first().map_or(0, Vec::len);
-    let levels = encoding.levels();
-    let mut tally = ClientTally {
-        answered: 0,
-        partial: 0,
-        degraded: 0,
-        shed_queue: 0,
-        shed_deadline: 0,
-        errors: 0,
-        flagged_mismatch: 0,
-        silent_wrong: 0,
-        latencies_us: Vec::with_capacity(requests),
-    };
-    for _ in 0..requests {
-        // Queries orbit stored rows: take one, perturb a few elements.
-        let mut query = corpus[rng.gen_range(0..corpus.len())].clone();
-        for _ in 0..rng.gen_range(0..4usize) {
-            let at = rng.gen_range(0..stages);
-            query[at] = rng.gen_range(0..levels);
-        }
-        let sent = clock.now();
-        match client.query(&query, k, deadline) {
-            Ok(topk) => {
-                tally
-                    .latencies_us
-                    .push(clock.elapsed(sent).as_micros() as u64);
-                tally.answered += 1;
-                if topk.partial {
-                    tally.partial += 1;
-                }
-                if topk.degraded {
-                    tally.degraded += 1;
-                }
-                let expected =
-                    brute_force_topk(corpus, encoding, &query, k).map_err(ServeError::Sim)?;
-                if topk.neighbors != expected {
-                    if topk.complete() {
-                        tally.silent_wrong += 1;
-                    } else {
-                        tally.flagged_mismatch += 1;
-                    }
-                }
-            }
-            Err(ServeError::Overloaded(ShedReason::QueueFull)) => tally.shed_queue += 1,
-            Err(ServeError::Overloaded(ShedReason::DeadlineExpired)) => tally.shed_deadline += 1,
-            Err(ServeError::Io(_)) | Err(ServeError::Protocol(_)) => {
-                // Transport loss: reconnect and keep the campaign going.
-                tally.errors += 1;
-                client = ServeClient::connect(addr)?;
-            }
-            Err(_) => tally.errors += 1,
-        }
-    }
-    Ok(tally)
-}
-
-/// Runs one phase of closed-loop load and folds the client tallies.
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    name: &str,
-    addr: SocketAddr,
-    corpus: &Arc<Vec<Vec<u8>>>,
-    encoding: crate::encoding::Encoding,
-    seed: u64,
-    k: usize,
-    clients: usize,
-    requests_per_client: usize,
-    deadline: Duration,
-) -> PhaseReport {
-    let clock = Clock::wall();
-    let started = clock.now();
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let corpus = Arc::clone(corpus);
-                scope.spawn(move || {
-                    run_client(
-                        addr,
-                        &corpus,
-                        encoding,
-                        seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                        k,
-                        requests_per_client,
-                        deadline,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().ok().and_then(Result::ok))
-            .collect()
-    });
-    let elapsed = clock.elapsed(started);
-    let requests = clients * requests_per_client;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut report = PhaseReport {
-        name: name.to_string(),
-        requests,
-        answered: 0,
-        partial: 0,
-        degraded: 0,
-        shed_queue: 0,
-        shed_deadline: 0,
-        errors: 0,
-        flagged_mismatch: 0,
-        silent_wrong: 0,
-        p50_us: 0,
-        p99_us: 0,
-        qps: 0,
-    };
-    for t in tallies {
-        report.answered += t.answered;
-        report.partial += t.partial;
-        report.degraded += t.degraded;
-        report.shed_queue += t.shed_queue;
-        report.shed_deadline += t.shed_deadline;
-        report.errors += t.errors;
-        report.flagged_mismatch += t.flagged_mismatch;
-        report.silent_wrong += t.silent_wrong;
-        latencies.extend(t.latencies_us);
-    }
-    report.p50_us = percentile(&mut latencies, 50.0);
-    report.p99_us = percentile(&mut latencies, 99.0);
-    report.qps = (requests as f64 / elapsed.as_secs_f64().max(1e-9)) as u64;
-    report
-}
-
-/// Runs the serve chaos campaign: seeded closed-loop load over a real
-/// TCP front-end through five phases — steady, overload burst,
-/// slow-shard (breaker + failover), shard crash (failover), recovered —
-/// judging every complete answer bit-for-bit against brute force.
-///
-/// The campaign itself only *measures*; callers assert the invariants
-/// (`silent_wrong() == 0`, sheds explicit, failovers observed) so test
-/// and bench contexts can set their own thresholds.
-///
-/// # Errors
-///
-/// [`ServeError`] when the service or front-end cannot be built.
-pub fn run_serve_chaos(cfg: &ServeChaosConfig) -> Result<ServeChaosReport, ServeError> {
-    let levels = cfg.serve.array.encoding.levels();
-    let corpus = Arc::new(seeded_corpus(
-        cfg.rows,
-        cfg.serve.array.stages,
-        levels,
-        cfg.seed,
-    ));
-    let service = Arc::new(ShardedService::new(
-        &cfg.serve,
-        &corpus,
-        cfg.standby_dir.as_deref(),
-    )?);
-    let encoding = service.encoding();
-    let mut front = FrontEnd::start(Arc::clone(&service), &cfg.serve, &cfg.bind_addr)?;
-    let addr = front.addr();
-    let shards = service.map().shards();
-    let mut phases = Vec::new();
-
-    phases.push(run_phase(
-        "steady",
-        addr,
-        &corpus,
-        encoding,
-        cfg.seed.wrapping_add(1),
-        cfg.k,
-        cfg.clients,
-        cfg.requests_per_client,
-        cfg.deadline,
-    ));
-
-    if !cfg.chaos {
-        let report = ServeChaosReport {
-            phases,
-            service: service.service_stats(),
-            front: front.front_stats(),
-            shards: service.shard_statuses(),
-        };
-        front.shutdown();
-        return Ok(report);
-    }
-
-    // Overload burst: more concurrency than workers and queue slots,
-    // with a budget tight enough that queueing delay alone breaches it.
-    phases.push(run_phase(
-        "overload",
-        addr,
-        &corpus,
-        encoding,
-        cfg.seed.wrapping_add(2),
-        cfg.k,
-        cfg.clients * cfg.burst_factor.max(1),
-        cfg.requests_per_client,
-        Duration::from_micros((cfg.deadline.as_micros() / 16).max(200) as u64),
-    ));
-
-    // Slow shard: the last shard serves every request slower than the
-    // whole budget, so requests hitting it expire, its breaker opens,
-    // and the standby takes over.
-    service.inject_slow(shards - 1, Some(cfg.deadline.saturating_add(cfg.deadline)));
-    phases.push(run_phase(
-        "slow-shard",
-        addr,
-        &corpus,
-        encoding,
-        cfg.seed.wrapping_add(3),
-        cfg.k,
-        cfg.clients,
-        cfg.requests_per_client,
-        cfg.deadline,
-    ));
-    // Promotion clears the injection with the shard swap; clear it
-    // explicitly in case the phase ended before the breaker tripped.
-    service.inject_slow(shards - 1, None);
-
-    // Hard crash of shard 0; the next requests ride partial answers
-    // until the probe-gated standby promotion brings it back.
-    service.inject_crash(0);
-    phases.push(run_phase(
-        "crash",
-        addr,
-        &corpus,
-        encoding,
-        cfg.seed.wrapping_add(4),
-        cfg.k,
-        cfg.clients,
-        cfg.requests_per_client,
-        cfg.deadline,
-    ));
-
-    phases.push(run_phase(
-        "recovered",
-        addr,
-        &corpus,
-        encoding,
-        cfg.seed.wrapping_add(5),
-        cfg.k,
-        cfg.clients,
-        cfg.requests_per_client,
-        cfg.deadline,
-    ));
-
-    let report = ServeChaosReport {
-        phases,
-        service: service.service_stats(),
-        front: front.front_stats(),
-        shards: service.shard_statuses(),
-    };
-    front.shutdown();
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //!   instead of a socket) with seed-scheduled truncation, bit-flips,
 //!   duplication, reordering, resets, and slow-loris stalls;
 //! - **the disk** is a [`MemStorage`] with seed-scheduled torn
-//!   appends, lying fsyncs, disk-full errors, and power losses.
+//!   appends, lying fsyncs, disk-full errors, and power losses;
+//! - **the devices** age, drift, take stuck FeFET cells (stuck at match
+//!   or at mismatch), and wear under an aggressive write-leveling
+//!   policy, and the shard engines' workers take seeded panics.
 //!
 //! All faults come from one [`FaultSchedule`] drawn from one seed, so
 //! any run replays **bit-identically** — and when a run fails, the
@@ -47,7 +50,9 @@ use crate::clock::{Clock, SimClock};
 use crate::config::ArrayConfig;
 use crate::corpus::{CorpusBuilder, CorpusConfig, CorpusEngine};
 use crate::encoding::Encoding;
-use crate::runtime::{DeadlinePolicy, RuntimeConfig};
+use crate::faults::FaultKind;
+use crate::resilience::WearPolicy;
+use crate::runtime::{ChaosInjection, DeadlinePolicy, RuntimeConfig};
 use crate::serve::{
     brute_force_topk, read_frame, write_frame, InfoReply, Reply, Request, ServeConfig, ServeError,
     ShardedService, ShedReason, StatsReply,
@@ -183,6 +188,30 @@ pub enum FaultEvent {
     /// Live mutation: overwrite one corpus row with derived values (and
     /// mirror it on the durable track when in range).
     Mutate,
+    /// A persistent stuck cell in one shard's array, the FeFET's hard
+    /// failure mode. From the next request on, the shard's health
+    /// probes must catch it, so its answers come back flagged.
+    CellFault {
+        /// Shard index (reduced modulo the shard count).
+        shard: usize,
+        /// Physical row of the shard's array, spare and reference rows
+        /// included (reduced modulo its physical rows).
+        row: usize,
+        /// Stage (reduced modulo the stage count).
+        stage: usize,
+        /// Stuck at match (mismatches go uncounted) rather than at
+        /// mismatch.
+        stuck_match: bool,
+    },
+    /// Arm seeded worker panics on one shard's engine: each slot
+    /// attempt panics with this chance, and the runtime must isolate
+    /// and retry it.
+    Panics {
+        /// Shard index (reduced modulo the shard count).
+        shard: usize,
+        /// Per-attempt panic chance, percent.
+        percent: u32,
+    },
     /// Admission burst: this many requests are queued ahead of this
     /// step's request.
     Burst(
@@ -301,6 +330,17 @@ impl SimConfig {
         // Background retention scrub on virtual time: one pass every
         // 8 virtual milliseconds of serving.
         cfg.runtime.scrub_interval = Some(Duration::from_millis(8));
+        // Probe shard health before every request: an injected stuck
+        // cell must be caught before the next answer leaves the shard,
+        // so the judge can hold every unflagged answer to bit-exactness.
+        // At the production cadence of 32 a stuck cell serves
+        // unflagged wrong answers until the next probe.
+        cfg.runtime.health_interval = 1;
+        // Rows rotate onto spares after a handful of writes and half-
+        // select inhibit charges siblings, so live mutations drive the
+        // wear-leveling rotations and refresh rewrites that the default
+        // (inert) policy never reaches.
+        cfg.resilience.wear = WearPolicy::aggressive();
         cfg
     }
 
@@ -396,6 +436,10 @@ pub struct SimReport {
     /// Deep margin-drift events (age past tolerance + paired heal
     /// scrub).
     pub drifts: usize,
+    /// Stuck cells injected into shard arrays.
+    pub cell_faults: usize,
+    /// Worker-panic injections armed on shard engines.
+    pub panics_armed: usize,
     /// Disk faults armed on the durable track.
     pub disk_faults: usize,
     /// Durable checkpoints committed.
@@ -406,6 +450,10 @@ pub struct SimReport {
     pub failovers: usize,
     /// Retention-scrub heals across all shard engines.
     pub scrub_heals: usize,
+    /// Wear-leveling rotations onto spares across all shard engines.
+    pub wear_rotations: usize,
+    /// Disturb-budget refresh rewrites across all shard engines.
+    pub refresh_rewrites: usize,
     /// Answers judged against the brute-force oracle.
     pub judged: usize,
     /// Corpus-tier answers judged against brute force restricted to
@@ -542,7 +590,17 @@ pub fn generate_schedule(cfg: &SimConfig) -> FaultSchedule {
             }),
             82..=88 => FaultEvent::Checkpoint,
             89..=93 => FaultEvent::CrashDurable,
-            _ => FaultEvent::Mutate,
+            // Device hard faults and worker panics on the serving shards.
+            94..=96 => FaultEvent::CellFault {
+                shard: rng.below(shards) as usize,
+                row: rng.below(1 << 16) as usize,
+                stage: rng.below(1 << 16) as usize,
+                stuck_match: rng.chance(50),
+            },
+            _ => FaultEvent::Panics {
+                shard: rng.below(shards) as usize,
+                percent: 1 + rng.below(5) as u32,
+            },
         };
         events.push((step, ev));
     }
@@ -744,6 +802,37 @@ impl SimWorld {
                 self.report.scrubs += 1;
             }
             FaultEvent::Mutate => self.apply_mutation(step),
+            FaultEvent::CellFault {
+                shard,
+                row,
+                stage,
+                stuck_match,
+            } => {
+                let shard = shard % shards;
+                let res = self.cfg.serve_config().resilience;
+                let rows = self.service.map().range(shard).1 + res.spare_rows + res.reference_rows;
+                let kind = if stuck_match {
+                    FaultKind::StuckMatch
+                } else {
+                    FaultKind::StuckMismatch
+                };
+                let (row, stage) = (row % rows, stage % self.cfg.stages);
+                match self.service.inject_cell_fault(shard, row, stage, kind) {
+                    Ok(()) => self.report.cell_faults += 1,
+                    Err(e) => self.fail(step, format!("cell fault on shard {shard} failed: {e}")),
+                }
+            }
+            FaultEvent::Panics { shard, percent } => {
+                let shard = shard % shards;
+                self.service.inject_panics(
+                    shard,
+                    ChaosInjection {
+                        seed: splitmix(self.cfg.seed ^ 0x9A41_C5ED ^ shard as u64),
+                        panic_rate: f64::from(percent.min(100)) / 100.0,
+                    },
+                );
+                self.report.panics_armed += 1;
+            }
             FaultEvent::Burst(_) => {} // consumed by the request path
             FaultEvent::Disk(fault) => {
                 self.disk.inject(fault);
@@ -1204,12 +1293,11 @@ impl SimWorld {
 
     fn finish(mut self) -> SimReport {
         self.report.failovers = self.service.service_stats().failovers;
-        self.report.scrub_heals = self
-            .service
-            .shard_statuses()
-            .iter()
-            .map(|s| s.stats.scrub_heals)
-            .sum();
+        for shard in self.service.shard_statuses() {
+            self.report.scrub_heals += shard.stats.scrub_heals;
+            self.report.wear_rotations += shard.stats.wear_rotations;
+            self.report.refresh_rewrites += shard.stats.refresh_rewrites;
+        }
         if let Some(track) = &self.corpus {
             self.report.corpus_evictions = track.engine.stats().corpus_cache_evictions;
         }
@@ -1480,10 +1568,18 @@ pub struct SimCampaignReport {
     pub ages: usize,
     /// Deep margin-drift events applied (age + paired heal scrub).
     pub drifts: usize,
+    /// Stuck cells injected into shard arrays.
+    pub cell_faults: usize,
+    /// Worker-panic injections armed on shard engines.
+    pub panics_armed: usize,
     /// Standby failovers performed.
     pub failovers: usize,
     /// Retention-scrub heals.
     pub scrub_heals: usize,
+    /// Wear-leveling rotations onto spares.
+    pub wear_rotations: usize,
+    /// Disturb-budget refresh rewrites.
+    pub refresh_rewrites: usize,
     /// Answers judged against brute force.
     pub judged: usize,
     /// Corpus-tier answers judged against restricted brute force.
@@ -1494,6 +1590,14 @@ pub struct SimCampaignReport {
     pub corpus_evictions: usize,
     /// Seeds whose run recorded a violation (must be empty).
     pub failing_seeds: Vec<u64>,
+}
+
+/// The seed of a campaign's `i`-th world. The base seed is mixed before
+/// the index is folded in, so campaigns from nearby base seeds run
+/// disjoint worlds: `splitmix(base ^ i)` hands base seeds 1 and 2 the
+/// same inputs in another order, so they would share almost every world.
+fn world_seed(base_seed: u64, i: usize) -> u64 {
+    splitmix(splitmix(base_seed) ^ i as u64)
 }
 
 /// Runs `scenarios` independent worlds with seeds derived from
@@ -1511,7 +1615,7 @@ pub fn run_sim_campaign(
     let mut agg = SimCampaignReport::default();
     for i in 0..scenarios {
         let mut cfg = *template;
-        cfg.seed = splitmix(base_seed ^ (i as u64));
+        cfg.seed = world_seed(base_seed, i);
         let report = run_sim(&cfg)?;
         agg.scenarios += 1;
         agg.requests += report.requests;
@@ -1525,8 +1629,12 @@ pub fn run_sim_campaign(
         agg.durable_crashes += report.durable_crashes;
         agg.ages += report.ages;
         agg.drifts += report.drifts;
+        agg.cell_faults += report.cell_faults;
+        agg.panics_armed += report.panics_armed;
         agg.failovers += report.failovers;
         agg.scrub_heals += report.scrub_heals;
+        agg.wear_rotations += report.wear_rotations;
+        agg.refresh_rewrites += report.refresh_rewrites;
         agg.judged += report.judged;
         agg.corpus_judged += report.corpus_judged;
         agg.corpus_mutations += report.corpus_mutations;
@@ -1536,4 +1644,16 @@ pub fn run_sim_campaign(
         }
     }
     Ok(agg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearby_base_seeds_share_no_world() {
+        let a: std::collections::HashSet<u64> = (0..1000).map(|i| world_seed(1, i)).collect();
+        assert_eq!(a.len(), 1000);
+        assert!((0..1000).all(|i| !a.contains(&world_seed(2, i))));
+    }
 }

@@ -9,7 +9,10 @@
 use tdam::clock::{Clock, SimClock};
 use tdam::resilience::{ResilienceConfig, ResilientArray};
 use tdam::runtime::QueryOutcome;
-use tdam::sim::{generate_schedule, run_sim_campaign, run_with_schedule, simulate, SimConfig};
+use tdam::sim::{
+    generate_schedule, run_sim_campaign, run_with_schedule, simulate, FaultEvent, FaultSchedule,
+    SimConfig,
+};
 use tdam::store::{decode_checkpoint, encode_checkpoint};
 use tdam::{ArrayConfig, BatchQuery, ResilientEngine, RuntimeConfig};
 use tdam_fefet::retention::{Lifetime, RetentionParams};
@@ -43,8 +46,9 @@ fn ramp_array() -> ResilientArray {
 
 /// The flagship campaign: 1000 independently seeded worlds, each
 /// composing network faults, admission bursts, live mutations, shard
-/// crashes, slow shards, device aging, deep margin drift, disk faults,
-/// and durable-track power losses — with every complete answer judged
+/// crashes, slow shards, device aging, deep margin drift, stuck cells,
+/// worker panics, disk faults, and durable-track power losses — with
+/// every complete answer judged
 /// against a brute-force replay of the shadow corpus. Zero silent wrong
 /// answers tolerated.
 #[test]
@@ -68,6 +72,137 @@ fn campaign_1000_worlds_zero_silent_wrong_answers() {
     assert!(report.drifts > 0, "no deep-drift events");
     assert!(report.scrub_heals > 0, "no scrub heals");
     assert!(report.durable_crashes > 0, "no durable power losses");
+    assert!(report.cell_faults > 0, "no stuck cells");
+    assert!(report.panics_armed > 0, "no worker panics armed");
+}
+
+/// A world over three 16-row, 32-stage shards, each shard's physical
+/// array 16 data + 4 spare + 2 reference rows.
+fn wide_world(seed: u64, steps: usize) -> SimConfig {
+    SimConfig {
+        steps,
+        rows: 48,
+        stages: 32,
+        rows_per_shard: 16,
+        durable_rows: 8,
+        ..SimConfig::quick(seed)
+    }
+}
+
+/// Stuck cells and worker panics, the device's and the runtime's own
+/// failure modes: about 1% of every shard's physical cells stick (at
+/// match or at mismatch) one at a time across the run, and every shard
+/// engine panics on 2% of slot attempts. The shard health probes must
+/// flag every answer a stuck cell could bend, and panics must be
+/// isolated and retried, so at least 99% of requests are answered,
+/// complete or flagged, with zero silent wrong answers.
+#[test]
+fn stuck_cells_and_worker_panics_keep_answers_available_and_flagged() {
+    let cfg = wide_world(0xC4A0_2024, 240);
+    let mut events: Vec<(usize, FaultEvent)> = (0..3)
+        .map(|shard| (0, FaultEvent::Panics { shard, percent: 2 }))
+        .collect();
+    // 7 of each shard's 704 physical cells, drip-fed every 8 steps
+    // after 40 steps of panics alone.
+    let mut h = cfg.seed;
+    for i in 0..21 {
+        h = h.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        events.push((
+            40 + i * 8,
+            FaultEvent::CellFault {
+                shard: i % 3,
+                row: (h >> 33) as usize,
+                stage: (h >> 13) as usize,
+                stuck_match: h & (1 << 40) != 0,
+            },
+        ));
+    }
+    let report = run_with_schedule(&cfg, &FaultSchedule { events }).expect("world runs");
+    assert!(
+        report.failures.is_empty(),
+        "failures: {:?}",
+        report.failures
+    );
+    assert_eq!(report.cell_faults, 21);
+    assert_eq!(report.panics_armed, 3);
+    let answered = report.complete + report.partial + report.degraded;
+    assert!(
+        answered * 100 >= report.requests * 99,
+        "answered {answered} of {} requests: {report:?}",
+        report.requests
+    );
+    assert!(
+        report.degraded > 0,
+        "no stuck cell was ever flagged: {report:?}"
+    );
+    assert!(report.judged >= 40, "too little was judged: {report:?}");
+}
+
+/// A write-heavy world: one 16-row, 32-stage shard takes 200 live
+/// mutations over 400 requests under the aggressive wear policy, with
+/// worker panics on 2% of slot attempts. Rows rotate onto spares and
+/// half-select disturb forces refresh rewrites, and every answer must
+/// still come back complete and bit-exact.
+#[test]
+fn write_heavy_world_rotates_refreshes_and_answers_exactly() {
+    for seed in [0x4D55_5441u64, 7, 99] {
+        let cfg = SimConfig {
+            steps: 400,
+            rows: 16,
+            stages: 32,
+            rows_per_shard: 16,
+            durable_rows: 8,
+            ..SimConfig::quick(seed)
+        };
+        let mut events = vec![(
+            0,
+            FaultEvent::Panics {
+                shard: 0,
+                percent: 2,
+            },
+        )];
+        events.extend((0..200).map(|i| (2 * i, FaultEvent::Mutate)));
+        let report = run_with_schedule(&cfg, &FaultSchedule { events }).expect("world runs");
+        assert!(
+            report.failures.is_empty(),
+            "failures: {:?}",
+            report.failures
+        );
+        assert_eq!(report.mutations, 200);
+        assert_eq!(report.requests, 400);
+        assert_eq!(report.complete, 400, "seed {seed}: {report:?}");
+        assert_eq!(report.judged, 400, "seed {seed}: {report:?}");
+        assert!(report.wear_rotations > 0, "seed {seed}: {report:?}");
+        assert!(report.refresh_rewrites > 0, "seed {seed}: {report:?}");
+    }
+}
+
+/// A shard that serves slower than the request deadline, with no crash
+/// anywhere, must still trip its breaker and fail over to its probed
+/// standby; the answers in between come back flagged partial.
+#[test]
+fn slow_shard_alone_drives_a_failover() {
+    let cfg = wide_world(0x51_0E, 24);
+    let events = vec![(
+        2,
+        FaultEvent::SlowShard {
+            shard: 2,
+            millis: 40,
+        },
+    )];
+    let report = run_with_schedule(&cfg, &FaultSchedule { events }).expect("world runs");
+    assert!(
+        report.failures.is_empty(),
+        "failures: {:?}",
+        report.failures
+    );
+    assert_eq!(report.shard_crashes, 0);
+    assert!(report.failovers >= 1, "no failover: {report:?}");
+    assert!(
+        report.partial > 0,
+        "slow answers were not flagged: {report:?}"
+    );
+    assert!(report.judged > 0, "nothing was judged: {report:?}");
 }
 
 /// The same seed must produce the bit-identical report twice: the world

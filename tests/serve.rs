@@ -2,9 +2,10 @@
 //! ([`tdam::serve`]): the scatter-gather top-k must be **bit-identical**
 //! to brute force over the unsharded corpus across shard geometries;
 //! admission control must shed explicitly (never hang, never silently
-//! serve late); warm-standby failover must be gated on known-answer
-//! probes; and the end-to-end TCP chaos campaign must report zero
-//! silent wrong answers.
+//! serve late); and warm-standby failover must be gated on known-answer
+//! probes. Failover under a scheduled mix of crashes, slow shards, stuck
+//! cells and worker panics is judged by the deterministic simulation
+//! (`crates/tdam/tests/sim.rs`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,8 +15,8 @@ use fetdam::tdam::engine::BatchQuery;
 use fetdam::tdam::resilience::ResilienceConfig;
 use fetdam::tdam::runtime::{DeadlinePolicy, QueryOutcome, ResilientEngine, RuntimeConfig};
 use fetdam::tdam::serve::{
-    brute_force_topk, run_serve_chaos, seeded_corpus, FrontEnd, ServeChaosConfig, ServeClient,
-    ServeConfig, ServeError, ShardedService, ShedReason,
+    brute_force_topk, seeded_corpus, FrontEnd, ServeClient, ServeConfig, ServeError,
+    ShardedService, ShedReason,
 };
 
 /// A serving config sized for tests: 16-stage vectors, small shards.
@@ -461,39 +462,4 @@ fn overload_sheds_explicitly_with_queue_full_or_deadline() {
         "every client-observed shed is accounted at the front-end"
     );
     front.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end chaos campaign
-// ---------------------------------------------------------------------------
-
-#[test]
-fn serve_chaos_campaign_has_zero_silent_wrong_answers() {
-    let dir = scratch_dir("chaos");
-    let cfg = ServeChaosConfig::quick(Some(dir.clone()));
-    let report = run_serve_chaos(&cfg).expect("campaign");
-    assert_eq!(report.phases.len(), 5);
-    assert_eq!(
-        report.silent_wrong(),
-        0,
-        "an answer claiming to be complete must equal brute force: {report:?}"
-    );
-    // Failures were injected, so recovery machinery must have engaged.
-    assert!(
-        report.service.failovers >= 1,
-        "crash/slow phases must drive standby promotion: {:?}",
-        report.service
-    );
-    let steady = &report.phases[0];
-    assert_eq!(
-        steady.answered, steady.requests,
-        "steady phase all answered"
-    );
-    assert_eq!(steady.silent_wrong + steady.flagged_mismatch, 0);
-    let recovered = report.phases.last().expect("phases");
-    assert!(
-        recovered.answered >= recovered.requests * 9 / 10,
-        "post-recovery service must be healthy: {recovered:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
