@@ -11,6 +11,8 @@
 //! (every probed shard pages its stored planes in), and the same engine
 //! hot. Gates:
 //!
+//! * every hot answer must equal brute force restricted to the probed
+//!   shards' rows,
 //! * recall@10 against the flat exact baseline must be >= 0.95, and
 //! * the hot two-tier path must be >= 4x (quick) / >= 10x (full)
 //!   faster end-to-end than flat packed brute force.
@@ -190,6 +192,31 @@ fn main() {
         "two-tier hot cache:      {:.3} s  ({:.1} queries/s)",
         hot_s,
         n_queries as f64 / hot_s
+    );
+
+    // Every hot answer is exact over the shards it probed: brute force
+    // restricted to those shards' rows ranks the same k pairs.
+    for (i, (q, got)) in queries.iter().zip(&hot_answers).enumerate() {
+        let probed = engine.probe(q).expect("probe");
+        let mut ranked: Vec<(usize, usize)> = probed
+            .iter()
+            .flat_map(|&c| engine.shard_ids(c))
+            .map(|&id| {
+                let id = id as usize;
+                let d = array.encoding.hamming(&corpus[id], q).expect("oracle");
+                (d, id)
+            })
+            .collect();
+        ranked.sort_unstable();
+        ranked.truncate(k);
+        assert_eq!(
+            got, &ranked,
+            "query {i}: hot answer differs from brute force restricted to the probed shards"
+        );
+    }
+    rline!(
+        rpt,
+        "hot answers: {n_queries} of {n_queries} equal brute force restricted to the probed shards"
     );
 
     // Recall@k of the two-tier path against the flat exact baseline.

@@ -373,6 +373,12 @@ struct Tables {
     /// same emptiness): 4 bytes per entry instead of 48, so the
     /// decision-only serving path stays cache-resident.
     decoded_table: Vec<u32>,
+    /// `count_limit[d]`: the largest `even + odd` whose decoded
+    /// distance is at most `d`, prefix-maxed over `d` — the count-space
+    /// image of a decoded-distance bound. Derived from `decoded_table`
+    /// (empty with it), so it stays exact whether or not the decode is
+    /// monotone in `even + odd`.
+    count_limit: Vec<u32>,
     max_even: usize,
     max_odd: usize,
     /// Cumulative load-cap / match-node energies by total mismatch
@@ -440,6 +446,7 @@ impl Tables {
             step_delay,
             digests: Vec::new(),
             decoded_table: Vec::new(),
+            count_limit: Vec::new(),
             max_even,
             max_odd,
             cum_cap_energy: cum_cap,
@@ -462,8 +469,37 @@ impl Tables {
             }
             tables.decoded_table = digests.iter().map(|d| d.decoded as u32).collect();
             tables.digests = digests;
+            tables.count_limit = tables.count_limits();
         }
         tables
+    }
+
+    /// Builds `count_limit` from `decoded_table`: the largest
+    /// `even + odd` decoding to each distance, then a running maximum,
+    /// so entry `d` covers every pair that decodes to `d` or less.
+    fn count_limits(&self) -> Vec<u32> {
+        let top = self.decoded_table.iter().max().map_or(0, |&d| d as usize);
+        let mut limit = vec![0u32; top + 1];
+        for even in 0..=self.max_even {
+            for odd in 0..=self.max_odd {
+                let d = self.decoded_table[even * (self.max_odd + 1) + odd] as usize;
+                limit[d] = limit[d].max((even + odd) as u32);
+            }
+        }
+        for d in 1..limit.len() {
+            limit[d] = limit[d].max(limit[d - 1]);
+        }
+        limit
+    }
+
+    /// The count-space image of a decoded-distance `bound`: every
+    /// `(even, odd)` with `decoded(even, odd) <= bound` has
+    /// `even + odd <= count_limit(bound)`. `usize::MAX` — prune nothing
+    /// — for a bound past the table or a geometry without one.
+    fn count_limit(&self, bound: usize) -> usize {
+        self.count_limit
+            .get(bound)
+            .map_or(usize::MAX, |&limit| limit as usize)
     }
 
     /// A calibration where `d_INV + d_C` is indistinguishable from
@@ -983,6 +1019,30 @@ impl PackedArray {
     pub(crate) fn decoded(&self, even: usize, odd: usize) -> usize {
         self.tables.decoded(even, odd)
     }
+
+    /// The largest `even + odd` that can still decode to `bound` or
+    /// less (inclusive, so a row tied at the bound still reaches the
+    /// full `(distance, id)` compare); `usize::MAX` when nothing may be
+    /// pruned. A row whose counts sum past it cannot enter a top-k whose
+    /// worst kept distance is `bound`.
+    #[inline]
+    pub(crate) fn count_limit(&self, bound: usize) -> usize {
+        self.tables.count_limit(bound)
+    }
+
+    /// Query `t`'s per-row `(even, odd)` count buffers (one entry per
+    /// row) from a tile filled by [`PackedArray::mismatch_counts`] —
+    /// [`PackedArray::counts`] for a whole array at once, for callers
+    /// that sweep the counts in vector-sized groups.
+    pub(crate) fn count_buffers<'s>(
+        &self,
+        scratch: &'s PackedScratch,
+        t: usize,
+    ) -> (&'s [u32], &'s [u32]) {
+        debug_assert!(t < scratch.filled);
+        let span = t * self.rows_pad..t * self.rows_pad + self.rows;
+        (&scratch.even[span.clone()], &scratch.odd[span])
+    }
 }
 
 #[cfg(test)]
@@ -1143,6 +1203,68 @@ mod tests {
                 assert_eq!(on_the_fly.digest(even, odd), table.digest(even, odd));
             }
         }
+    }
+
+    /// The count-space limit a decoded bound maps to is exact: every
+    /// `(even, odd)` that decodes to `d` or less sums to at most
+    /// `count_limit(d)`, and some such pair sums to exactly that, so
+    /// pruning past the limit drops no row the select could keep and
+    /// keeps no needless slack. Pinned under the nominal calibration
+    /// and under one whose `d_C` is a few ulps of a step sum, where the
+    /// decode strays from `even + odd`; a geometry too wide for the
+    /// decoded table prunes nothing.
+    #[test]
+    fn count_limit_is_the_exact_image_of_a_decoded_bound() {
+        let nominal = *seeded_array(2, 8, 1, 1).timing();
+        let skewed = StageTiming {
+            d_c: nominal.d_inv * 1e-13,
+            ..nominal
+        };
+        let mut strays = 0usize;
+        for timing in [nominal, skewed] {
+            let tdc = CounterTdc::matched(&timing).unwrap();
+            for bits in 1..=4u8 {
+                let enc = Encoding::new(bits).unwrap();
+                for stages in [1usize, 2, 31, 32, 33, 64, 65, 128] {
+                    let packed =
+                        PackedArray::from_codes(enc, stages, &timing, &tdc, &vec![0u8; stages]);
+                    let tables = &packed.tables;
+                    assert!(!tables.decoded_table.is_empty());
+                    let pairs: Vec<(usize, usize)> = (0..=tables.max_even)
+                        .flat_map(|e| (0..=tables.max_odd).map(move |o| (e, o)))
+                        .map(|(e, o)| (packed.decoded(e, o), e + o))
+                        .collect();
+                    strays += pairs.iter().filter(|&&(d, sum)| d != sum).count();
+                    let top = pairs.iter().map(|&(d, _)| d).max().unwrap();
+                    for bound in 0..=top {
+                        let tightest = pairs
+                            .iter()
+                            .filter(|&&(d, _)| d <= bound)
+                            .map(|&(_, sum)| sum)
+                            .max();
+                        assert_eq!(
+                            packed.count_limit(bound),
+                            tightest.unwrap_or(0),
+                            "{bits}b {stages}st d_c {:e} bound {bound}",
+                            timing.d_c
+                        );
+                    }
+                    for past in [top + 1, usize::MAX] {
+                        assert_eq!(packed.count_limit(past), usize::MAX);
+                    }
+                }
+            }
+        }
+        assert!(strays > 0, "the skewed calibration never moved a decode");
+
+        let tdc = CounterTdc::matched(&nominal).unwrap();
+        let wide =
+            PackedArray::from_codes(Encoding::new(2).unwrap(), 600, &nominal, &tdc, &[0; 600]);
+        assert!(
+            wide.tables.decoded_table.is_empty(),
+            "600 stages outgrow the table"
+        );
+        assert_eq!(wide.count_limit(0), usize::MAX, "no table, no pruning");
     }
 
     #[test]

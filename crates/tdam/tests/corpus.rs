@@ -15,11 +15,13 @@ use std::time::Duration;
 
 use tdam::clock::{Clock, SimClock};
 use tdam::corpus::{CorpusBuilder, CorpusConfig, CorpusEngine, ProbedTopK};
-use tdam::packed::PackedKernel;
+use tdam::packed::{PackedArray, PackedKernel};
 use tdam::serve::{
     brute_force_topk, seeded_corpus, FrontEnd, ServeClient, ServeConfig, ShardedService,
 };
 use tdam::store::{crc32, decode_corpus, encode_corpus};
+use tdam::tdc::CounterTdc;
+use tdam::timing::StageTiming;
 use tdam::{ArrayConfig, Encoding};
 
 /// SplitMix64 finalizer — the repo-wide seeding discipline.
@@ -125,7 +127,7 @@ fn recall_at_10_exceeds_095_on_ci_sized_corpus() {
 /// down to one resident snapshot returns the same full ranking as a cache
 /// that never evicts, across repeated passes.
 #[test]
-fn evicted_shards_recompile_bit_identically() {
+fn evicted_shards_page_in_bit_identically() {
     let stages = 16;
     let array = ArrayConfig::paper_default().with_stages(stages);
     let levels = u64::from(array.encoding.levels());
@@ -179,6 +181,19 @@ enum Write {
     Update(usize, Vec<u8>),
 }
 
+/// How the restricted brute force scores a stored row against a query.
+#[derive(Debug, Clone, Copy)]
+enum Oracle {
+    /// Element-wise Hamming distance: what a nominal calibration's TDC
+    /// decodes.
+    Hamming,
+    /// The TDC decode of the row's reconstructed chain delay, its counts
+    /// taken by the single-row reference kernel over a flat packed copy
+    /// of the rows: for a calibration whose decode strays from the
+    /// mismatch count, so distance and count space differ.
+    Decoded,
+}
+
 /// Builds `cfg` over `corpus` once per available dispatch-ladder rung,
 /// warms the probed shards, applies `writes`, then asks every query at
 /// every `k` of the selector's edge cases: none, one, a handful, more
@@ -191,6 +206,21 @@ fn assert_rerank_matches_restricted_brute_force(
     writes: &[Write],
     queries: &[Vec<u8>],
 ) {
+    assert_rerank_matches_oracle(cfg, corpus, writes, queries, Oracle::Hamming);
+}
+
+/// [`assert_rerank_matches_restricted_brute_force`] with the brute
+/// force scoring rows by `oracle`.
+fn assert_rerank_matches_oracle(
+    cfg: CorpusConfig,
+    corpus: &[Vec<u8>],
+    writes: &[Write],
+    queries: &[Vec<u8>],
+    oracle: Oracle,
+) {
+    let stages = cfg.array.stages;
+    let timing = StageTiming::analytic(&cfg.array.tech, cfg.array.c_load).expect("timing");
+    let tdc = CounterTdc::matched(&timing).expect("tdc");
     let rungs = [
         PackedKernel::Scalar,
         PackedKernel::Unrolled,
@@ -221,14 +251,27 @@ fn assert_rerank_matches_restricted_brute_force(
                 }
             }
         }
+        let flat =
+            PackedArray::from_codes(cfg.array.encoding, stages, &timing, &tdc, &rows.concat());
+        let mut scratch = flat.scratch();
         let mut answers = Vec::new();
         for (i, q) in queries.iter().enumerate() {
             let (_, probed) = engine.search_topk_probed(q, 0).expect("probe");
+            flat.expand_query(q, &mut scratch);
             let mut ranked = Vec::new();
             for &c in &probed {
                 for &id in engine.shard_ids(c) {
                     let id = id as usize;
-                    let d = cfg.array.encoding.hamming(&rows[id], q).expect("oracle");
+                    let d = match oracle {
+                        Oracle::Hamming => {
+                            cfg.array.encoding.hamming(&rows[id], q).expect("oracle")
+                        }
+                        Oracle::Decoded => {
+                            let (e, o) = flat.row_mismatches(id, &scratch);
+                            let delay = flat.reconstruct(e, o).total_delay;
+                            tdc.decode_mismatches(&timing, stages, delay)
+                        }
+                    };
                     ranked.push((d, id));
                 }
             }
@@ -283,7 +326,7 @@ fn rerank_matches_restricted_brute_force_on_every_kernel_rung() {
 /// equal distances and the id tie-break decides the answer. Appends
 /// join whichever shard their centroid picks, so the probed shards
 /// offer their ids out of ascending order, and updates move rows'
-/// distances after their shards were compiled.
+/// distances after their shards were paged in.
 #[test]
 fn rerank_breaks_ties_like_brute_force_after_appends_and_updates() {
     let stages = 8;
@@ -314,6 +357,152 @@ fn rerank_breaks_ties_like_brute_force_after_appends_and_updates() {
         .map(|i| perturbed_query(&corpus, 2, 0x7135, i))
         .collect();
     assert_rerank_matches_restricted_brute_force(cfg, &corpus, &writes, &queries);
+}
+
+/// A three-word geometry (130 stages) whose shards end mid-group: the
+/// capacity-balanced build leaves shards short of `shard_rows`, and
+/// appends push their lengths further off any multiple of 8 or 16, so
+/// the pruned walk's partial last group carries rows that must still be
+/// offered.
+#[test]
+fn rerank_matches_restricted_brute_force_on_a_multi_word_geometry_with_ragged_shards() {
+    let stages = 130;
+    let array = ArrayConfig::paper_default().with_stages(stages);
+    let levels = u64::from(array.encoding.levels());
+    let corpus = clustered(1000, stages, 12, 10, levels, 0x0130);
+    let cfg = CorpusConfig {
+        array,
+        shard_rows: 64,
+        nprobe: 4,
+        train_iters: 2,
+        train_sample: 512,
+        cache_budget_bytes: 8 << 20,
+        seed: 17,
+        threads: Some(2),
+    };
+    let extra = clustered(37, stages, 12, 10, levels, 0xA130);
+    let writes: Vec<Write> = extra.iter().cloned().map(Write::Append).collect();
+    let mut queries: Vec<Vec<u8>> = (0..10u64)
+        .map(|i| perturbed_query(&corpus, levels, 0x130D, i))
+        .collect();
+    queries.extend((0..4u64).map(|i| perturbed_query(&extra, levels, 0x130E, i)));
+
+    let mut engine = build_engine(cfg, &corpus);
+    for v in &extra {
+        engine.append_row(v).expect("append");
+    }
+    let ragged = queries.iter().any(|q| {
+        let probed = engine.probe(q).expect("probe");
+        probed
+            .iter()
+            .any(|&c| !engine.shard_len(c).is_multiple_of(8))
+    });
+    assert!(ragged, "no probed shard ends mid-group");
+    assert_rerank_matches_restricted_brute_force(cfg, &corpus, &writes, &queries);
+}
+
+/// Duplicate rows tie at the k-th distance across two probed shards: a
+/// row copied through the corpus fills its nearest shard, and the
+/// lowest-id row of every other shard the copy probes is rewritten to
+/// the copy too. The copies in the first probed shard fill the select,
+/// so its bound is their distance, and the lower-id copies in a later
+/// shard enter only through the full `(distance, id)` compare at the
+/// bound.
+#[test]
+fn rerank_breaks_duplicate_ties_that_straddle_probed_shards() {
+    let stages = 32;
+    let array = ArrayConfig::paper_default().with_stages(stages);
+    let levels = u64::from(array.encoding.levels());
+    let mut corpus = clustered(1500, stages, 10, 10, levels, 0xD0B1);
+    let copy = corpus[700].clone();
+    for id in (0..corpus.len()).filter(|id| id % 29 == 3) {
+        corpus[id] = copy.clone();
+    }
+    let cfg = CorpusConfig {
+        array,
+        shard_rows: 64,
+        nprobe: 4,
+        train_iters: 2,
+        train_sample: 512,
+        cache_budget_bytes: 8 << 20,
+        seed: 23,
+        threads: Some(2),
+    };
+    let mut engine = build_engine(cfg, &corpus);
+    let probed = engine.probe(&copy).expect("probe");
+    let writes: Vec<Write> = probed[1..]
+        .iter()
+        .map(|&c| {
+            let id = *engine.shard_ids(c).iter().min().expect("non-empty shard");
+            Write::Update(id as usize, copy.clone())
+        })
+        .collect();
+    for write in &writes {
+        if let Write::Update(id, v) = write {
+            engine.update_row(*id, v).expect("update");
+        }
+    }
+    let (top, _) = engine.search_topk_probed(&copy, 8).expect("search");
+    let first: HashSet<u32> = engine.shard_ids(probed[0]).iter().copied().collect();
+    let inside = top
+        .iter()
+        .filter(|&&(_, id)| first.contains(&(id as u32)))
+        .count();
+    assert!(
+        top.iter().all(|&(d, _)| d == 0) && inside > 0 && inside < top.len(),
+        "the top-8 tie group must straddle the first probed shard and a later one: {top:?}"
+    );
+
+    let mut queries = vec![copy.clone()];
+    queries
+        .extend((0..6u64).map(|i| perturbed_query(std::slice::from_ref(&copy), levels, 0xD0B, i)));
+    queries.extend((0..6u64).map(|i| perturbed_query(&corpus, levels, 0xD0C, i)));
+    assert_rerank_matches_restricted_brute_force(cfg, &corpus, &writes, &queries);
+}
+
+/// A calibration whose `d_C` is a few ulps of a 128-stage step sum, so
+/// the TDC decode strays from the mismatch count (a row can decode to a
+/// distance below its count): the walk's count-space limit must come
+/// from the decoded table, not from the distance bound itself, and the
+/// pruned answer must still equal brute force over the decoded
+/// distances.
+#[test]
+fn rerank_prunes_exactly_when_the_decode_strays_from_the_count() {
+    let stages = 128;
+    let nominal = ArrayConfig::paper_default().with_stages(stages);
+    let timing = StageTiming::analytic(&nominal.tech, nominal.c_load).expect("timing");
+    let array = ArrayConfig {
+        c_load: nominal.c_load * 1e-13 * timing.d_inv / timing.d_c,
+        ..nominal
+    };
+    let levels = u64::from(array.encoding.levels());
+    let corpus = clustered(800, stages, 8, 10, levels, 0x5CE3);
+    let cfg = CorpusConfig {
+        array,
+        shard_rows: 64,
+        nprobe: 3,
+        train_iters: 2,
+        train_sample: 512,
+        cache_budget_bytes: 8 << 20,
+        seed: 29,
+        threads: Some(2),
+    };
+    let queries: Vec<Vec<u8>> = (0..12u64)
+        .map(|i| perturbed_query(&corpus, levels, 0x5CE, i))
+        .collect();
+
+    let skewed = StageTiming::analytic(&array.tech, array.c_load).expect("timing");
+    let tdc = CounterTdc::matched(&skewed).expect("tdc");
+    let flat = PackedArray::from_codes(array.encoding, stages, &skewed, &tdc, &corpus.concat());
+    let mut scratch = flat.scratch();
+    flat.expand_query(&queries[0], &mut scratch);
+    let below = (0..corpus.len()).any(|id| {
+        let (e, o) = flat.row_mismatches(id, &scratch);
+        let delay = flat.reconstruct(e, o).total_delay;
+        tdc.decode_mismatches(&skewed, stages, delay) < e + o
+    });
+    assert!(below, "no row decodes below its mismatch count");
+    assert_rerank_matches_oracle(cfg, &corpus, &[], &queries, Oracle::Decoded);
 }
 
 /// Writes to shards that are not resident land in the stored planes
@@ -431,7 +620,7 @@ fn serve_stats_endpoint_surfaces_snapshot_cache_counters() {
     let corpus = seeded_corpus(64, 8, 4, 91);
     let mut service = ShardedService::new(&cfg, &corpus, None).expect("service");
     // A 1-byte budget forces an eviction on every second snapshot
-    // compile, so all three counters move within a handful of queries.
+    // page-in, so all three counters move within a handful of queries.
     service.install_corpus_tier(2, 1).expect("corpus tier");
     let service = Arc::new(service);
     let mut front = FrontEnd::start(Arc::clone(&service), &cfg, "127.0.0.1:0").expect("front-end");
