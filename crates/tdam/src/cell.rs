@@ -37,10 +37,15 @@ pub enum ConductingFefet {
 /// levels sit half a step below the matching thresholds so a matching cell
 /// has negative overdrive on both devices and any mismatch has at least
 /// half a step of positive overdrive on exactly one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The ladder is `Copy` and holds no table: each level is computed on
+/// demand as `lo + step * i` (minus half a step for the search lines),
+/// so a [`Cell`] can derive it from its encoding instead of owning one.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VoltageLadder {
-    vth: Vec<f64>,
-    vsl: Vec<f64>,
+    levels: u8,
+    lo: f64,
+    step: f64,
 }
 
 impl VoltageLadder {
@@ -50,7 +55,7 @@ impl VoltageLadder {
     /// `V_TH0..V_TH3` = 0.2/0.6/1.0/1.4 V and `V_SL0..V_SL3` =
     /// 0/0.4/0.8/1.2 V.
     pub fn for_encoding(encoding: Encoding) -> Self {
-        let levels = encoding.levels() as usize;
+        let levels = encoding.levels();
         let (lo, hi) = (
             tdam_fefet::PAPER_VTH[0],
             tdam_fefet::PAPER_VTH[tdam_fefet::PAPER_STATES - 1],
@@ -60,9 +65,7 @@ impl VoltageLadder {
         } else {
             hi - lo
         };
-        let vth: Vec<f64> = (0..levels).map(|i| lo + step * i as f64).collect();
-        let vsl: Vec<f64> = vth.iter().map(|v| v - step / 2.0).collect();
-        Self { vth, vsl }
+        Self { levels, lo, step }
     }
 
     /// Threshold voltage programmed for level `i`.
@@ -71,7 +74,12 @@ impl VoltageLadder {
     ///
     /// Panics if `i` exceeds the ladder.
     pub fn vth(&self, i: u8) -> f64 {
-        self.vth[i as usize]
+        assert!(
+            i < self.levels,
+            "level {i} exceeds the {}-level ladder",
+            self.levels
+        );
+        self.lo + self.step * i as f64
     }
 
     /// Search-line voltage applied for level `i`.
@@ -80,18 +88,18 @@ impl VoltageLadder {
     ///
     /// Panics if `i` exceeds the ladder.
     pub fn vsl(&self, i: u8) -> f64 {
-        self.vsl[i as usize]
+        self.vth(i) - self.step / 2.0
     }
 
     /// Number of levels.
     pub fn levels(&self) -> u8 {
-        self.vth.len() as u8
+        self.levels
     }
 
     /// The step between adjacent ladder levels, volts.
     pub fn step(&self) -> f64 {
-        if self.vth.len() > 1 {
-            self.vth[1] - self.vth[0]
+        if self.levels > 1 {
+            self.vth(1) - self.vth(0)
         } else {
             0.0
         }
@@ -144,7 +152,6 @@ impl CellOutcome {
 pub struct Cell {
     stored: u8,
     encoding: Encoding,
-    ladder: VoltageLadder,
     /// Actual programmed thresholds (may deviate from nominal under
     /// variation): `(F_A, F_B)`.
     vth_actual: (f64, f64),
@@ -166,7 +173,6 @@ impl Cell {
         Ok(Self {
             stored: value,
             encoding,
-            ladder,
             vth_actual,
         })
     }
@@ -198,9 +204,9 @@ impl Cell {
         self.encoding
     }
 
-    /// The nominal voltage ladder in use.
-    pub fn ladder(&self) -> &VoltageLadder {
-        &self.ladder
+    /// The nominal voltage ladder in use, derived from the encoding.
+    pub fn ladder(&self) -> VoltageLadder {
+        VoltageLadder::for_encoding(self.encoding)
     }
 
     /// The actual `(F_A, F_B)` threshold voltages.
@@ -213,8 +219,8 @@ impl Cell {
     /// [`crate::chain::DelayChain::evaluate`].
     pub fn is_nominal(&self) -> bool {
         let rev = self.reversed(self.stored);
-        self.vth_actual.0 == self.ladder.vth(self.stored)
-            && self.vth_actual.1 == self.ladder.vth(rev)
+        let ladder = self.ladder();
+        self.vth_actual.0 == ladder.vth(self.stored) && self.vth_actual.1 == ladder.vth(rev)
     }
 
     /// The reversed index `F_B` is programmed/driven with for level `v`.
@@ -231,8 +237,9 @@ impl Cell {
     /// encoding.
     pub fn evaluate(&self, q: u8) -> Result<CellOutcome, TdamError> {
         self.encoding.validate(&[q])?;
-        let v_sl_a = self.ladder.vsl(q);
-        let v_sl_b = self.ladder.vsl(self.reversed(q));
+        let ladder = self.ladder();
+        let v_sl_a = ladder.vsl(q);
+        let v_sl_b = ladder.vsl(self.reversed(q));
         let overdrive_a = v_sl_a - self.vth_actual.0;
         let overdrive_b = v_sl_b - self.vth_actual.1;
         let conducting = if overdrive_a > 0.0 && overdrive_a >= overdrive_b {
@@ -258,8 +265,9 @@ impl Cell {
     /// encoding.
     pub fn discharge_current(&self, q: u8, v_mn: f64, mos: &MosParams) -> Result<f64, TdamError> {
         self.encoding.validate(&[q])?;
-        let v_sl_a = self.ladder.vsl(q);
-        let v_sl_b = self.ladder.vsl(self.reversed(q));
+        let ladder = self.ladder();
+        let v_sl_a = ladder.vsl(q);
+        let v_sl_b = ladder.vsl(self.reversed(q));
         let i_a = ids(&mos.with_vth(self.vth_actual.0), v_sl_a, v_mn).id;
         let i_b = ids(&mos.with_vth(self.vth_actual.1), v_sl_b, v_mn).id;
         Ok(i_a + i_b)
@@ -293,8 +301,9 @@ impl Cell {
             Waveform::Pwl(vec![(0.0, 0.0), (1.0e-9, 0.0), (1.05e-9, tech.vdd)]),
         );
         // Search lines assert at 1.2 ns (after precharge releases).
-        let v_sl_a = self.ladder.vsl(q);
-        let v_sl_b = self.ladder.vsl(self.reversed(q));
+        let ladder = self.ladder();
+        let v_sl_a = ladder.vsl(q);
+        let v_sl_b = ladder.vsl(self.reversed(q));
         nl.vsource(
             "VSLA",
             sla,
@@ -366,6 +375,46 @@ mod tests {
             assert!((ladder.vth(0) - 0.2).abs() < 1e-12);
             assert!((ladder.vth(enc.levels() - 1) - 1.4).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn on_demand_ladder_matches_the_tabulated_ladder_bit_for_bit() {
+        // The ladder once stored its levels as tables built exactly like
+        // this; computing them on demand must not move a single bit.
+        let (lo, hi) = (
+            tdam_fefet::PAPER_VTH[0],
+            tdam_fefet::PAPER_VTH[tdam_fefet::PAPER_STATES - 1],
+        );
+        for bits in 1..=4u8 {
+            let enc = Encoding::new(bits).unwrap();
+            let levels = enc.levels() as usize;
+            let step = (hi - lo) / (levels - 1) as f64;
+            let vth: Vec<f64> = (0..levels).map(|i| lo + step * i as f64).collect();
+            let vsl: Vec<f64> = vth.iter().map(|v| v - step / 2.0).collect();
+            let ladder = VoltageLadder::for_encoding(enc);
+            for (i, (t, l)) in vth.iter().zip(&vsl).enumerate() {
+                assert_eq!(ladder.vth(i as u8).to_bits(), t.to_bits());
+                assert_eq!(ladder.vsl(i as u8).to_bits(), l.to_bits());
+            }
+            assert_eq!(ladder.step().to_bits(), (vth[1] - vth[0]).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn ladder_rejects_a_level_past_its_top() {
+        VoltageLadder::for_encoding(enc2()).vth(4);
+    }
+
+    #[test]
+    fn cell_holds_no_heap_ladder() {
+        // stored value + encoding + two f64 thresholds: a heap-backed
+        // field (a ladder table, say) would grow every cell of every array.
+        assert!(
+            std::mem::size_of::<Cell>() <= 24,
+            "{}",
+            std::mem::size_of::<Cell>()
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! of three interchangeable **block kernels**, selected per
 //! [`PackedArray`] by [`PackedKernel::detect`] (overridable via
 //! [`PackedArray::set_kernel`] or the `TDAM_PACKED_KERNEL` environment
-//! variable — `simd`, `unrolled`, or `scalar`):
+//! variable — `simd`, `unrolled`, or `scalar`, read once per process):
 //!
 //! 1. [`PackedKernel::Simd`] — explicit wide registers (requires the
 //!    `simd` cargo feature; on x86_64 this is AVX-512 `VPOPCNTQ` or AVX2
@@ -208,25 +208,29 @@ impl PackedKernel {
     /// (`simd` / `unrolled` / `scalar`, case-insensitive) overrides the
     /// choice when it names an available rung, and is ignored otherwise —
     /// selection can therefore never fail, only degrade.
+    ///
+    /// The choice is made once per process and cached, like the core
+    /// count in [`crate::parallel::resolve_threads`]: every
+    /// [`PackedArray`] build (each snapshot recompile included) reads
+    /// the cached rung, so setting the variable after the first build has
+    /// no effect.
     pub fn detect() -> Self {
-        if let Ok(forced) = std::env::var("TDAM_PACKED_KERNEL") {
-            let forced = match forced.to_ascii_lowercase().as_str() {
-                "simd" => Some(PackedKernel::Simd),
-                "unrolled" => Some(PackedKernel::Unrolled),
-                "scalar" => Some(PackedKernel::Scalar),
-                _ => None,
-            };
-            if let Some(k) = forced {
-                if k.is_available() {
-                    return k;
+        static DETECTED: std::sync::OnceLock<PackedKernel> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            let forced = std::env::var("TDAM_PACKED_KERNEL").ok().and_then(|forced| {
+                match forced.to_ascii_lowercase().as_str() {
+                    "simd" => Some(PackedKernel::Simd),
+                    "unrolled" => Some(PackedKernel::Unrolled),
+                    "scalar" => Some(PackedKernel::Scalar),
+                    _ => None,
                 }
+            });
+            match forced {
+                Some(k) if k.is_available() => k,
+                _ if PackedKernel::Simd.is_available() => PackedKernel::Simd,
+                _ => PackedKernel::Unrolled,
             }
-        }
-        if PackedKernel::Simd.is_available() {
-            PackedKernel::Simd
-        } else {
-            PackedKernel::Unrolled
-        }
+        })
     }
 
     /// Diagnostic name of the code path this rung executes **here**:

@@ -53,11 +53,26 @@ impl From<WorkerLost> for TdamError {
 /// Resolves a requested worker count: `None` means all available cores,
 /// and the result is always clamped to `1..=items.max(1)` so callers never
 /// spawn idle threads.
+///
+/// The core count is read once per process and cached: on Linux,
+/// `available_parallelism` re-reads the cgroup CPU quota on every call
+/// (tens of µs), which the serving runtime would otherwise pay once per
+/// shard per request. An explicit `Some(n)` never reads it at all.
 pub fn resolve_threads(items: usize, threads: Option<usize>) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    threads.unwrap_or(available).max(1).min(items.max(1))
+    threads
+        .unwrap_or_else(available_cores)
+        .max(1)
+        .min(items.max(1))
+}
+
+/// The process's available core count, resolved on first use.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Mixes an item index into a base seed (SplitMix64-style finalizer), so

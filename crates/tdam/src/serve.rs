@@ -642,6 +642,12 @@ impl ShardedService {
             let array = cfg.array.with_rows(rows);
             let mut engine =
                 ResilientEngine::new(array, cfg.resilience, cfg.runtime)?.with_clock(clock.clone());
+            // Stagger the shards' health probes over the interval so one
+            // request never carries every shard's probe at once.
+            let interval = cfg.runtime.health_interval;
+            if interval > 0 {
+                engine.batches_since_check = s * interval / map.shards() % interval;
+            }
             for (local, values) in corpus[base..base + rows].iter().enumerate() {
                 engine.store(local, values)?;
             }

@@ -184,6 +184,61 @@ fn runtime_mid_batch_expiry_keeps_completed_slots() {
 }
 
 // ---------------------------------------------------------------------------
+// Health-probe cadence: staggered across shards
+// ---------------------------------------------------------------------------
+
+fn health_checks(service: &ShardedService) -> Vec<usize> {
+    service
+        .shard_statuses()
+        .iter()
+        .map(|s| s.stats.health_checks)
+        .collect()
+}
+
+#[test]
+fn shard_health_probes_are_staggered_one_per_request_at_most() {
+    let cfg = ServeConfig::paper_default();
+    let interval = cfg.runtime.health_interval;
+    assert_eq!(interval, 32);
+    let levels = cfg.array.encoding.levels();
+    let corpus = seeded_corpus(16 * cfg.rows_per_shard, cfg.array.stages, levels, 7);
+    let service = ShardedService::new(&cfg, &corpus, None).expect("service");
+    assert_eq!(service.map().shards(), 16);
+
+    let start = health_checks(&service);
+    let mut prev = start.clone();
+    for r in 0..2 * interval {
+        service
+            .search_topk(&corpus[r % corpus.len()], 5, GENEROUS)
+            .expect("search");
+        let now = health_checks(&service);
+        let probes: usize = now.iter().zip(&prev).map(|(n, p)| n - p).sum();
+        assert!(probes <= 1, "request {r} carried {probes} shard probes");
+        prev = now;
+    }
+    for (s, (end, begin)) in prev.iter().zip(&start).enumerate() {
+        assert_eq!(end - begin, 2, "shard {s} probes twice in 64 requests");
+    }
+}
+
+#[test]
+fn promoted_standby_probes_on_its_first_batch() {
+    let corpus = test_corpus(30);
+    let dir = scratch_dir("standby-probe");
+    let service = ShardedService::new(&test_config(10), &corpus, Some(&dir)).expect("service");
+    let before = health_checks(&service)[1];
+    service.inject_crash(1);
+    service
+        .search_topk(&corpus[0], 3, GENEROUS)
+        .expect("search");
+    assert!(!service.is_down(1), "standby promoted");
+    // The promotion's known-answer batch is the standby's first, and it
+    // runs the standby's health probe; the request itself runs none.
+    assert_eq!(health_checks(&service)[1], before + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // Failover: probe-gated standby promotion
 // ---------------------------------------------------------------------------
 
